@@ -94,6 +94,7 @@ struct MatrixPoint {
   int shards;
   double wall_s = 0.0;
   double cross_fraction = 0.0;
+  double run_share = 0.0;
   std::uint64_t cross_handoffs = 0;
   std::uint64_t sync_rounds = 0;
   std::uint64_t windows_run = 0;
@@ -158,6 +159,7 @@ int Main(int argc, char** argv) {
       p.shards = shards;
       p.wall_s = Now() - t0;
       p.cross_fraction = r.cross_shard_fraction;
+      p.run_share = r.calendar_run_share;
       p.cross_handoffs = r.cross_shard_handoffs;
       p.sync_rounds = r.sync_rounds;
       p.windows_run = r.windows_run;
@@ -176,9 +178,10 @@ int Main(int argc, char** argv) {
                      p.strategy, shards);
         ok = false;
       }
-      std::printf("  %-7s S=%d: cross=%.3f sync_rounds=%llu (%.2fs)\n",
-                  p.strategy, shards, p.cross_fraction, Ull(p.sync_rounds),
-                  p.wall_s);
+      std::printf(
+          "  %-7s S=%d: cross=%.3f run_share=%.3f sync_rounds=%llu (%.2fs)\n",
+          p.strategy, shards, p.cross_fraction, p.run_share,
+          Ull(p.sync_rounds), p.wall_s);
     }
   }
   {
@@ -389,10 +392,11 @@ int Main(int argc, char** argv) {
       std::fprintf(out,
                    "    {\"strategy\": \"%s\", \"shards\": %d, "
                    "\"cross_shard_fraction\": %.4f, "
+                   "\"calendar_run_share\": %.4f, "
                    "\"cross_shard_handoffs\": %llu, \"sync_rounds\": %llu, "
                    "\"windows_run\": %llu, \"pruned_pairs\": %d, "
                    "\"wall_seconds\": %.3f}%s\n",
-                   p.strategy, p.shards, p.cross_fraction,
+                   p.strategy, p.shards, p.cross_fraction, p.run_share,
                    Ull(p.cross_handoffs), Ull(p.sync_rounds),
                    Ull(p.windows_run), p.pruned_pairs, p.wall_s,
                    i + 1 < points.size() ? "," : "");

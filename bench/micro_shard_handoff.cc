@@ -13,7 +13,12 @@
 //   merge           BM_MailboxMergeAndDrain (per-entry Push) and
 //                   BM_CalendarBulkMerge (AppendRaw + FinishBulk) — the
 //                   closer's cost of folding staged handoffs into peer
-//                   arrival calendars.
+//                   arrival calendars. Their keys are random, so both
+//                   exercise only the calendar's fallback heap.
+//   calendar        BM_CalendarSteadyState — the traffic a shard's
+//                   calendar really serves: pushes due now + link delay
+//                   with same-tick key inversions, one cross-shard bulk
+//                   merge per window, drains in between.
 //
 // These bound the price of sharding: a window is profitable when the
 // events it runs cost more than one barrier plus its handoff merges, and
@@ -60,7 +65,9 @@ void BM_MailboxMergeAndDrain(benchmark::State& state) {
     for (int i = 0; i < per_window; ++i) {
       outbox.push_back(MakeEntry(rng, base));
     }
-    for (const CalendarEntry& e : outbox) calendar.Push(e);
+    for (const CalendarEntry& e : outbox) {
+      calendar.Push(e.at, e.key, e.sink, e.pkt);
+    }
     while (!calendar.Empty()) {
       benchmark::DoNotOptimize(calendar.PopEarliest().key);
       ++drained;
@@ -176,7 +183,8 @@ void BM_CalendarBulkMerge(benchmark::State& state) {
   std::uint64_t drained = 0;
   for (auto _ : state) {
     for (int i = 0; i < per_window; ++i) {
-      calendar.AppendRaw(MakeEntry(rng, base));
+      const CalendarEntry e = MakeEntry(rng, base);
+      calendar.AppendRaw(e.at, e.key, e.sink, e.pkt);
     }
     calendar.FinishBulk();
     while (!calendar.Empty()) {
@@ -191,6 +199,60 @@ void BM_CalendarBulkMerge(benchmark::State& state) {
                                         benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CalendarBulkMerge)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
+
+/// Steady-state calendar traffic, per handoff (one insert plus its
+/// delivery). Each tick 1-4 of 16 ports, in random order, hand off a
+/// packet due now + one link delay, so same-tick keys arrive inverted;
+/// the drain delivers everything due by now; every 64-tick window ends
+/// with one cross-shard merge of `per_merge` entries due within the next
+/// window (AppendRaw + FinishBulk). The pending depth settles near
+/// 200 entries, about what a churn shard holds. run_share is the share of
+/// inserts that took the sorted run.
+void BM_CalendarSteadyState(benchmark::State& state) {
+  const int per_merge = static_cast<int>(state.range(0));
+  constexpr std::uint64_t kPorts = 16;
+  constexpr Tick kWindow = 64;
+  constexpr Tick kDelay = 80;
+  Rng rng(3);
+  ArrivalCalendar calendar;
+  std::uint32_t wire_seq[kPorts] = {};
+  std::uint64_t merge_seq = 0;
+  const Packet pkt;
+  Tick now = 0;
+  std::uint64_t handoffs = 0;
+  for (auto _ : state) {
+    for (Tick t = 0; t < kWindow; ++t, ++now) {
+      const int senders = 1 + static_cast<int>(rng.Next() & 3);
+      for (int i = 0; i < senders; ++i) {
+        const std::uint64_t port = rng.Next() % kPorts;
+        calendar.Push(now + kDelay, port << 32 | wire_seq[port]++, nullptr,
+                      pkt);
+      }
+      handoffs += static_cast<std::uint64_t>(senders);
+      while (calendar.NextTime() <= now) {
+        benchmark::DoNotOptimize(calendar.PopEarliest().key);
+      }
+    }
+    for (int i = 0; i < per_merge; ++i) {
+      const std::uint64_t port = kPorts + rng.Next() % kPorts;
+      calendar.AppendRaw(now + static_cast<Tick>(rng.Next() % kWindow),
+                         port << 32 | merge_seq++, nullptr, pkt);
+    }
+    calendar.FinishBulk();
+    handoffs += static_cast<std::uint64_t>(per_merge);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(handoffs));
+  state.counters["ns_per_handoff"] = benchmark::Counter(
+      static_cast<double>(handoffs), benchmark::Counter::kIsRate |
+                                         benchmark::Counter::kInvert);
+  state.counters["run_share"] = benchmark::Counter(
+      calendar.inserts() > 0 ? static_cast<double>(calendar.run_inserts()) /
+                                   static_cast<double>(calendar.inserts())
+                             : 0.0);
+  state.counters["depth"] = benchmark::Counter(
+      static_cast<double>(calendar.Size()));
+}
+BENCHMARK(BM_CalendarSteadyState)->Arg(0)->Arg(16)->Arg(64);
 
 /// The serial alternative the gang competes with: the same S tasks run
 /// inline on the caller. The gap between this and BM_WindowGangBarrier is

@@ -206,6 +206,7 @@ struct TimedRun {
   std::uint64_t windows_run = 0;
   std::uint64_t sync_rounds = 0;
   std::uint64_t gang_windows = 0;
+  double calendar_run_share = 0.0;
   double goodput_mbps = 0.0;
   /// total / max-shard event share: the speedup the partition admits on
   /// enough cores (wall-clock speedup is additionally capped by the
@@ -235,6 +236,7 @@ TimedRun RunTimed(int n, int rounds, int shards, ThreadPool* pool,
   t.windows_run = r.windows_run;
   t.sync_rounds = r.sync_rounds;
   t.gang_windows = r.gang_windows;
+  t.calendar_run_share = r.calendar_run_share;
   t.goodput_mbps = r.goodput_mbps;
   if (!r.shard_events.empty()) {
     std::uint64_t max_share = 0;
@@ -258,6 +260,7 @@ struct ScaleRow {
   std::uint64_t events = 0;
   std::uint64_t windows_run = 0;
   std::uint64_t sync_rounds = 0;
+  double calendar_run_share = 0.0;
 };
 
 int Main(int argc, char** argv) {
@@ -287,7 +290,7 @@ int Main(int argc, char** argv) {
   std::vector<ScaleRow> rows;
   bool any_pinned = false;
   Table table({"N", "S", "wall_s", "speedup", "overhead", "balance_bound",
-               "windows", "sync_rounds"});
+               "windows", "sync_rounds", "run_share"});
   for (const int n : flow_counts) {
     double serial_s = 0.0;
     std::uint64_t serial_fp = 0;
@@ -314,6 +317,7 @@ int Main(int argc, char** argv) {
       row.events = t.events;
       row.windows_run = t.windows_run;
       row.sync_rounds = t.sync_rounds;
+      row.calendar_run_share = t.calendar_run_share;
       if (s == 1) {
         serial_s = t.wall_seconds;
         serial_fp = t.fingerprint;
@@ -342,7 +346,8 @@ int Main(int argc, char** argv) {
                     Table::Num(row.overhead, 2),
                     Table::Num(row.balance_bound, 2),
                     std::to_string(row.windows_run),
-                    std::to_string(row.sync_rounds)});
+                    std::to_string(row.sync_rounds),
+                    Table::Num(row.calendar_run_share, 3)});
     }
   }
   table.Print();
@@ -456,12 +461,12 @@ int Main(int argc, char** argv) {
       std::fprintf(out,
                    "\"overhead_vs_serial\": %.2f, \"balance_bound\": %.2f, "
                    "\"events\": %llu, \"windows_run\": %llu, "
-                   "\"sync_rounds\": %llu}%s\n",
+                   "\"sync_rounds\": %llu, \"calendar_run_share\": %.4f}%s\n",
                    r.overhead, r.balance_bound,
                    static_cast<unsigned long long>(r.events),
                    static_cast<unsigned long long>(r.windows_run),
                    static_cast<unsigned long long>(r.sync_rounds),
-                   i + 1 < rows.size() ? "," : "");
+                   r.calendar_run_share, i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(out, "  ],\n");
     std::fprintf(out,

@@ -113,31 +113,57 @@ struct CalendarEntry {
   Packet pkt;
 };
 
-/// Min-heap of pending arrivals for one shard, ordered by (at, key). Keys
-/// are unique (per-port sequences never repeat), so the order is total
-/// and independent of insertion order — mailbox merges can append in any
-/// order without affecting delivery order.
+/// Pending arrivals for one shard, delivered in ascending (at, key) order.
+/// Keys are unique (per-port sequences never repeat), so the order is
+/// total and independent of insertion order — mailbox merges can append
+/// in any order without affecting delivery order.
+///
+/// Two parts hold the entries. The *run* is a FIFO ring that is sorted by
+/// construction: Push appends there every entry not ordered before the
+/// run's tail, in O(1) with no entry moved. Every other entry goes to a
+/// binary min-heap. Inside a shard a delivery is due at now + link delay,
+/// so arrivals come almost sorted and most pushes take the run; same-tick
+/// key inversions and cross-shard merges (AppendRaw) take the heap. The
+/// earliest entry is the smaller of the two heads.
 class ArrivalCalendar {
  public:
-  bool Empty() const { return heap_.empty(); }
-  std::size_t Size() const { return heap_.size(); }
+  bool Empty() const { return run_size_ == 0 && heap_.empty(); }
+  std::size_t Size() const { return run_size_ + heap_.size(); }
 
   /// Earliest due tick, or kTickMax when empty.
-  Tick NextTime() const { return heap_.empty() ? kTickMax : heap_[0].at; }
+  Tick NextTime() const { return Empty() ? kTickMax : PeekEarliest().at; }
 
-  void Push(const CalendarEntry& e) {
+  /// Inserts an arrival, built in place: at the run's tail when it is not
+  /// ordered before that tail, else in the heap.
+  void Push(Tick at, std::uint64_t key, PacketSink* sink, const Packet& pkt) {
     DCTCPP_DASSERT(staged_ == 0);
-    heap_.push_back(e);
-    SiftUp(heap_.size() - 1);
+    if (run_size_ == 0 || !Before(at, key, RunTail())) {
+      if (run_size_ == ring_.size()) GrowRing();
+      CalendarEntry& slot =
+          ring_[(run_head_ + run_size_) & (ring_.size() - 1)];
+      slot.at = at;
+      slot.key = key;
+      slot.sink = sink;
+      slot.pkt = pkt;
+      ++run_size_;
+      ++run_inserts_;
+    } else {
+      heap_.push_back({at, key, sink, pkt});
+      SiftUp(heap_.size() - 1);
+      ++heap_inserts_;
+    }
   }
 
-  /// Bulk-insert half 1: appends without restoring heap order. Must be
-  /// followed by FinishBulk() before any NextTime/PopEarliest. The merge
-  /// barrier uses this so a window's worth of cross-shard handoffs costs
-  /// one heap repair instead of one sift per packet.
-  void AppendRaw(const CalendarEntry& e) {
-    heap_.push_back(e);
+  /// Bulk-insert half 1: appends to the heap without restoring heap
+  /// order. Must be followed by FinishBulk() before any NextTime/
+  /// PeekEarliest/PopEarliest. The merge barrier uses this so a window's
+  /// worth of cross-shard handoffs costs one heap repair instead of one
+  /// sift per packet.
+  void AppendRaw(Tick at, std::uint64_t key, PacketSink* sink,
+                 const Packet& pkt) {
+    heap_.push_back({at, key, sink, pkt});
     ++staged_;
+    ++heap_inserts_;
   }
 
   /// Bulk-insert half 2: restores the heap invariant — k sift-ups when
@@ -145,35 +171,66 @@ class ArrivalCalendar {
   /// sizable fraction of it.
   void FinishBulk();
 
-  /// Removes and returns the earliest entry. Precondition: !Empty().
-  CalendarEntry PopEarliest();
+  /// Removes the earliest entry and returns it in place: the reference
+  /// stays valid until the next insert or pop, so the drain loop delivers
+  /// without copying the entry out. Precondition: !Empty().
+  const CalendarEntry& PopEarliest();
 
   /// The earliest entry in place, without removing it (the drain loop's
   /// lookahead prefetch). Precondition: !Empty().
   const CalendarEntry& PeekEarliest() const {
-    DCTCPP_DASSERT(!heap_.empty());
-    return heap_[0];
+    DCTCPP_DASSERT(!Empty() && staged_ == 0);
+    return RunFirst() ? ring_[run_head_] : heap_[0];
   }
 
-  /// Checkpoint: entries in raw heap-array order (a valid heap layout
-  /// restored verbatim is a valid heap and reproduces pop tie-breaking
-  /// bit-identically). Sink pointers never serialize — LoadState
-  /// re-resolves each entry's sink from its key via `sink_for_key`
-  /// (the coordinator's port-gid registry).
-  void SaveState(CheckpointWriter& w) const;
+  /// Entries Push appended to the run, and all entries ever inserted
+  /// (Push, AppendRaw, LoadState). Never serialized: telemetry, and the
+  /// drain loop's check that a delivery inserts nothing.
+  std::uint64_t run_inserts() const { return run_inserts_; }
+  std::uint64_t inserts() const { return run_inserts_ + heap_inserts_; }
+
+  /// Checkpoint: entries in ascending (at, key) order, so the blob is a
+  /// function of the pending set alone, not of which part holds an entry
+  /// or of the heap's layout. SaveState sorts the heap array in place,
+  /// which leaves the pending set and delivery order as they were.
+  /// LoadState pushes each entry and so accepts any order. Sink pointers
+  /// never serialize — LoadState re-resolves each entry's sink from its
+  /// key via `sink_for_key` (the coordinator's port-gid registry).
+  void SaveState(CheckpointWriter& w);
   void LoadState(CheckpointReader& r,
                  const std::function<PacketSink*(std::uint64_t)>& sink_for_key);
 
  private:
-  static bool Before(const CalendarEntry& a, const CalendarEntry& b) {
-    if (a.at != b.at) return a.at < b.at;
-    return a.key < b.key;
+  static bool Before(Tick at, std::uint64_t key, const CalendarEntry& b) {
+    return at != b.at ? at < b.at : key < b.key;
   }
+  static bool Before(const CalendarEntry& a, const CalendarEntry& b) {
+    return Before(a.at, a.key, b);
+  }
+  /// Whether the earliest entry is the run's head. Precondition: !Empty().
+  bool RunFirst() const {
+    return heap_.empty() ||
+           (run_size_ != 0 && Before(ring_[run_head_], heap_[0]));
+  }
+  const CalendarEntry& RunTail() const {
+    return ring_[(run_head_ + run_size_ - 1) & (ring_.size() - 1)];
+  }
+  void GrowRing();
   void SiftUp(std::size_t i);
-  void SiftDown(std::size_t i);
+  /// Fills the hole at `i` with `e`, moving the hole down past every
+  /// smaller child.
+  void SiftDown(std::size_t i, CalendarEntry e);
 
+  /// The run: run_size_ entries from ring_[run_head_], wrapping. The
+  /// ring's size is 0 or a power of two.
+  std::vector<CalendarEntry> ring_;
+  std::size_t run_head_ = 0;
+  std::size_t run_size_ = 0;
   std::vector<CalendarEntry> heap_;
-  std::size_t staged_ = 0;  ///< trailing entries awaiting FinishBulk
+  CalendarEntry popped_;  ///< a heap pop's entry, returned in place
+  std::size_t staged_ = 0;  ///< trailing heap entries awaiting FinishBulk
+  std::uint64_t run_inserts_ = 0;
+  std::uint64_t heap_inserts_ = 0;
 };
 
 /// Cross-shard deposits made by one shard during the current window,
@@ -368,6 +425,9 @@ class ParallelSimulation {
   /// amortizes away. Deterministic: depends on simulation data only,
   /// never on the pool or thread timing.
   std::uint64_t windows_run() const { return windows_; }
+  /// Windows fanned over the pool: 0 when shards run inline, so it is
+  /// pool-dependent telemetry — never serialized, restarts at 0 after a
+  /// restore.
   std::uint64_t gang_windows() const { return gang_windows_; }
   /// Causality barriers crossed: one per sub-round of a batched window,
   /// per relay hop, and per fixed-mode window. This is the PR-5
@@ -376,6 +436,10 @@ class ParallelSimulation {
   /// simulation's sequential influence-chain length.
   std::uint64_t sync_rounds() const { return sync_rounds_; }
   std::uint64_t calendar_deliveries() const;
+  /// Share of calendar inserts, across all shards, that took a calendar's
+  /// sorted run rather than its heap (0 with no inserts). Counted since
+  /// construction or restore; never serialized.
+  double calendar_run_share() const;
   std::uint64_t cross_shard_handoffs() const;
   /// Coordinator-level causality checks (always on, expected 0): merges
   /// behind a shard's horizon / channel-clock regressions.

@@ -27,7 +27,10 @@
 // topology, routing tables, link/impairment configuration, RNG stream id
 // assignments, arena layout, FlatFlowTable probe layout, the demux
 // one-entry cache, callbacks, and the flight recorder (observational
-// only). See DESIGN.md Sec. 13.
+// only). Nor is pool-dependent or purely descriptive telemetry — the
+// coordinator's count of windows fanned over a pool, and the arrival
+// calendars' run/heap insert counts — which restarts at 0 after a
+// restore. See DESIGN.md Sec. 13.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +51,9 @@ struct Packet;
 class CheckpointWriter {
  public:
   static constexpr std::uint32_t kMagic = 0x44434b50;  // "DCKP"
-  static constexpr std::uint32_t kVersion = 1;
+  /// 2: the coordinator no longer writes its pool-window count, and
+  /// arrival calendars write entries in (at, key) order.
+  static constexpr std::uint32_t kVersion = 2;
 
   void U8(std::uint8_t v) { buf_.push_back(v); }
   void Bool(bool v) { U8(v ? 1 : 0); }

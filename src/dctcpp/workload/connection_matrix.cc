@@ -307,6 +307,7 @@ FabricRunResult RunFabricWorkload(const FabricRunConfig& config) {
           ? static_cast<double>(result.cross_shard_handoffs) /
                 static_cast<double>(result.calendar_deliveries)
           : 0.0;
+  result.calendar_run_share = psim.calendar_run_share();
 
   result.invariant_violations = psim.invariant_violations();
   const NetworkInvariants::Ledger ledger = psim.MergedLedger();

@@ -239,6 +239,7 @@ IncastResult RunIncastSharded(const IncastConfig& config) {
   result.gang_windows = psim.gang_windows();
   result.sync_rounds = psim.sync_rounds();
   result.cross_shard_handoffs = psim.cross_shard_handoffs();
+  result.calendar_run_share = psim.calendar_run_share();
   result.sim_seconds = ToSeconds(end_tick);
 
   result.invariant_violations = psim.invariant_violations();

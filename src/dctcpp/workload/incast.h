@@ -120,6 +120,8 @@ struct IncastResult {
   std::uint64_t gang_windows = 0;        ///< windows fanned over the pool
   std::uint64_t sync_rounds = 0;         ///< causality barriers (sub-rounds)
   std::uint64_t cross_shard_handoffs = 0;
+  /// Share of calendar inserts that took a calendar's sorted run.
+  double calendar_run_share = 0.0;
   /// Packets accepted by any egress port over the run (datapath volume).
   std::uint64_t packets_forwarded = 0;
   double sim_seconds = 0.0;

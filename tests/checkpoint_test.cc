@@ -139,6 +139,24 @@ TEST(CheckpointTest, ResumeMatchesWithThreadPools) {
   }
 }
 
+TEST(CheckpointTest, PoolAndInlineRunsFingerprintEqual) {
+  // Pool-dependent telemetry (the count of windows fanned over the pool,
+  // 0 inline) stays out of the blob, so one world at one barrier
+  // fingerprints the same whether its shards ran inline or on a pool.
+  const ChurnConfig cfg = SmallConfig(2, Profile::kLossy);
+  const std::vector<Tick> stops = EvenStops(4 * kMillisecond, 4);
+  ThreadPool pool(1);
+  ChurnWorkload inline_run(cfg);
+  ChurnWorkload pooled(cfg);
+  inline_run.Start();
+  pooled.Start();
+  RunSchedule(inline_run, stops);
+  RunSchedule(pooled, stops, &pool);
+  EXPECT_EQ(inline_run.psim().gang_windows(), 0u);
+  EXPECT_GT(pooled.psim().gang_windows(), 0u);
+  EXPECT_EQ(inline_run.Fingerprint(), pooled.Fingerprint());
+}
+
 TEST(CheckpointTest, ResumeMatchesPerAckMode) {
   TcpSocket::SetBatchedAckMode(false);
   ExpectBitIdenticalResume(SmallConfig(2, Profile::kLossy),

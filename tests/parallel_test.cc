@@ -1,15 +1,21 @@
 // Tests for the conservative-parallel engine (net/parallel.h): arrival
-// calendar ordering, the window gang's epoch protocol, and the load-bearing
+// calendar ordering (differential against a sorted reference) and
+// checkpointing, the window gang's epoch protocol, and the load-bearing
 // property of the whole design — an incast run is bit-identical at every
 // shard count, whatever thread pool runs the windows.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <functional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dctcpp/net/parallel.h"
+#include "dctcpp/sim/checkpoint.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/incast.h"
@@ -31,7 +37,7 @@ TEST(ArrivalCalendarTest, OrdersByTickThenKey) {
     e.key = rng.Next();
     entries.push_back(e);
   }
-  for (const auto& e : entries) cal.Push(e);
+  for (const auto& e : entries) cal.Push(e.at, e.key, e.sink, e.pkt);
   ASSERT_EQ(cal.Size(), entries.size());
 
   Tick prev_at = -1;
@@ -62,13 +68,230 @@ TEST(ArrivalCalendarTest, InsertionOrderOfTiedTicksIsIrrelevant) {
   }
   ArrivalCalendar fwd;
   ArrivalCalendar rev;
-  for (const auto& e : entries) fwd.Push(e);
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) rev.Push(*it);
+  for (const auto& e : entries) fwd.Push(e.at, e.key, e.sink, e.pkt);
+  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
+    rev.Push(it->at, it->key, it->sink, it->pkt);
+  }
   while (!fwd.Empty()) {
     ASSERT_FALSE(rev.Empty());
     EXPECT_EQ(fwd.PopEarliest().key, rev.PopEarliest().key);
   }
   EXPECT_TRUE(rev.Empty());
+}
+
+// --- differential and checkpoint tests against a sorted reference --------
+
+struct NullSink : PacketSink {
+  void Deliver(const Packet&) override {}
+};
+
+/// Stand-ins for the coordinator's port-gid registry: an entry's sink is
+/// a function of its key's port half, as SinkForGid makes it.
+NullSink g_sinks[4];
+PacketSink* SinkForKey(std::uint64_t key) { return &g_sinks[(key >> 32) & 3]; }
+
+/// A packet whose fields are a function of its key, so a drain can check
+/// that every packet travelled with its own (at, key).
+Packet PacketForKey(std::uint64_t key) {
+  Packet p;
+  p.uid = key * 0x9e3779b97f4a7c15ULL;
+  p.payload = static_cast<std::int32_t>(key & 0x3ff);
+  p.tcp.seq = static_cast<std::uint32_t>(key >> 7);
+  return p;
+}
+
+using RefEntry = std::pair<Tick, std::uint64_t>;
+
+/// Drives an ArrivalCalendar and a std::set of (at, key) with the same
+/// operations. The traffic imitates what a shard's calendar serves:
+/// per-port pushes due now + link delay (ports in random order, so
+/// same-tick pushes arrive with key inversions), random-key pushes, and
+/// cross-shard merges as AppendRaw + FinishBulk batches.
+class CalendarVsReference {
+ public:
+  explicit CalendarVsReference(std::uint64_t seed) : rng_(seed) {}
+
+  ArrivalCalendar& cal() { return cal_; }
+  const std::set<RefEntry>& ref() const { return ref_; }
+
+  void Push(Tick at, std::uint64_t key) {
+    cal_.Push(at, key, SinkForKey(key), PacketForKey(key));
+    ASSERT_TRUE(ref_.insert({at, key}).second);
+  }
+
+  /// A delivery due now + its link's delay, keyed by the port's next
+  /// wire sequence (ports 0..7, three delay classes).
+  void PortPush() {
+    const std::uint64_t port = rng_.Next() % 8;
+    const Tick at = now_ + 10 + static_cast<Tick>(port % 3);
+    Push(at, port << 32 | wire_seq_[port]++);
+  }
+
+  /// An arrival at a random tick ahead, from a port range of its own.
+  void RandomPush() {
+    const Tick at = now_ + static_cast<Tick>(rng_.Next() % 64);
+    Push(at, (8 + rng_.Next() % 8) << 32 | random_seq_++);
+  }
+
+  /// A cross-shard merge of `n` entries: AppendRaw in staging order, then
+  /// one FinishBulk.
+  void Bulk(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Tick at = now_ + static_cast<Tick>(rng_.Next() % 32);
+      const std::uint64_t key = (16 + rng_.Next() % 8) << 32 | bulk_seq_++;
+      cal_.AppendRaw(at, key, SinkForKey(key), PacketForKey(key));
+      ASSERT_TRUE(ref_.insert({at, key}).second);
+    }
+    cal_.FinishBulk();
+  }
+
+  /// Checks NextTime, PeekEarliest and PopEarliest against the reference.
+  void Pop() {
+    ASSERT_FALSE(ref_.empty());
+    ASSERT_FALSE(cal_.Empty());
+    const RefEntry want = *ref_.begin();
+    ref_.erase(ref_.begin());
+    ASSERT_EQ(cal_.NextTime(), want.first);
+    ASSERT_EQ(cal_.PeekEarliest().key, want.second);
+    const CalendarEntry& e = cal_.PopEarliest();
+    ASSERT_EQ(e.at, want.first);
+    ASSERT_EQ(e.key, want.second);
+    ASSERT_EQ(e.sink, SinkForKey(e.key));
+    ASSERT_EQ(e.pkt.uid, PacketForKey(e.key).uid);
+    ASSERT_EQ(e.pkt.payload, PacketForKey(e.key).payload);
+    ASSERT_EQ(cal_.Size(), ref_.size());
+    now_ = e.at;
+  }
+
+  /// One round of mixed traffic; leaves at most 48 entries pending.
+  void Round() {
+    for (int i = 0; i < 300; ++i) {
+      const std::uint64_t op = rng_.Next() % 10;
+      if (op < 5) {
+        PortPush();
+      } else if (op < 7) {
+        RandomPush();
+      } else if (!ref_.empty()) {
+        Pop();
+      }
+    }
+    // The round's random pushes leave the heap far above 12 entries, so
+    // a batch of 1-3 takes FinishBulk's k-sift-up branch; a batch larger
+    // than the whole calendar takes the O(n) rebuild.
+    Bulk(1 + rng_.Next() % 3);
+    Bulk(cal_.Size() + 1 + rng_.Next() % 16);
+    while (ref_.size() > 48) Pop();
+  }
+
+  void DrainAll() {
+    while (!ref_.empty()) Pop();
+    ASSERT_TRUE(cal_.Empty());
+    ASSERT_EQ(cal_.NextTime(), kTickMax);
+  }
+
+ private:
+  Rng rng_;
+  ArrivalCalendar cal_;
+  std::set<RefEntry> ref_;
+  std::uint32_t wire_seq_[8] = {};
+  std::uint64_t random_seq_ = 0;
+  std::uint64_t bulk_seq_ = 0;
+  Tick now_ = 0;
+};
+
+TEST(ArrivalCalendarTest, MatchesSortedReferenceUnderMixedTraffic) {
+  for (std::uint64_t seed : {1, 2, 3}) {
+    CalendarVsReference d(seed);
+    for (int round = 0; round < 40; ++round) {
+      d.Round();
+      if (HasFatalFailure()) return;
+    }
+    d.DrainAll();
+    // Both parts carried traffic.
+    EXPECT_GT(d.cal().run_inserts(), 0u);
+    EXPECT_LT(d.cal().run_inserts(), d.cal().inserts());
+  }
+}
+
+/// A calendar blob holding `order`'s entries in that order.
+std::vector<std::uint8_t> BlobInOrder(const std::vector<RefEntry>& order) {
+  CheckpointWriter w;
+  w.U64(order.size());
+  for (const RefEntry& e : order) {
+    w.I64(e.first);
+    w.U64(e.second);
+    SavePacket(w, PacketForKey(e.second));
+  }
+  return w.TakeBlob();
+}
+
+std::vector<std::uint8_t> SaveCalendar(ArrivalCalendar& cal) {
+  CheckpointWriter w;
+  cal.SaveState(w);
+  return w.TakeBlob();
+}
+
+void LoadCalendar(ArrivalCalendar& cal, const std::vector<std::uint8_t>& blob) {
+  CheckpointReader r(blob);
+  cal.LoadState(r, SinkForKey);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(ArrivalCalendarTest, CheckpointIsCanonicalAndDrainsInOrder) {
+  CalendarVsReference d(11);
+  for (int round = 0; round < 6; ++round) d.Round();
+  ASSERT_FALSE(d.cal().Empty());
+  const std::vector<std::uint8_t> blob = SaveCalendar(d.cal());
+  // Entries in (at, key) order, whichever part held them.
+  EXPECT_EQ(blob, BlobInOrder({d.ref().begin(), d.ref().end()}));
+
+  // Save -> Load -> Save gives the same bytes.
+  ArrivalCalendar restored;
+  LoadCalendar(restored, blob);
+  EXPECT_EQ(SaveCalendar(restored), blob);
+
+  // The restored calendar drains exactly as the original.
+  ASSERT_EQ(restored.Size(), d.cal().Size());
+  while (!d.cal().Empty()) {
+    const CalendarEntry want = d.cal().PopEarliest();
+    const CalendarEntry& got = restored.PopEarliest();
+    ASSERT_EQ(got.at, want.at);
+    ASSERT_EQ(got.key, want.key);
+    ASSERT_EQ(got.sink, want.sink);
+    ASSERT_EQ(got.pkt.uid, want.pkt.uid);
+  }
+  EXPECT_TRUE(restored.Empty());
+}
+
+TEST(ArrivalCalendarTest, LoadsBlobsInAnyEntryOrder) {
+  // Older blobs hold entries in raw heap-array order; LoadState must take
+  // that, or any other order, and save it back canonically.
+  Rng rng(5);
+  std::vector<RefEntry> entries;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    entries.push_back({static_cast<Tick>(rng.Next() % 40),
+                       (rng.Next() % 4) << 32 | i});
+  }
+  std::vector<RefEntry> sorted = entries;
+  std::sort(sorted.begin(), sorted.end());
+  const std::vector<std::uint8_t> canonical = BlobInOrder(sorted);
+
+  std::vector<RefEntry> heap_order = entries;
+  std::make_heap(heap_order.begin(), heap_order.end(),
+                 std::greater<RefEntry>());
+  for (const auto& order : {heap_order, entries}) {
+    ArrivalCalendar cal;
+    LoadCalendar(cal, BlobInOrder(order));
+    EXPECT_EQ(SaveCalendar(cal), canonical);
+    for (const RefEntry& want : sorted) {
+      const CalendarEntry& e = cal.PopEarliest();
+      ASSERT_EQ(e.at, want.first);
+      ASSERT_EQ(e.key, want.second);
+      ASSERT_EQ(e.sink, SinkForKey(e.key));
+      ASSERT_EQ(e.pkt.uid, PacketForKey(e.key).uid);
+    }
+    EXPECT_TRUE(cal.Empty());
+  }
 }
 
 TEST(WindowGangTest, EveryTaskRunsExactlyOncePerWindow) {
