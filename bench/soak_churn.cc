@@ -10,6 +10,9 @@
 //    invocation checkpoints to a file and exits (the "kill"), a second
 //    invocation restores from that file, resumes, and gates the final
 //    fingerprint against an uninterrupted in-process reference.
+//  - The mid-soak save runs twice at one barrier and both blobs must be
+//    equal; the second (sized by the first) is the timed save the JSON
+//    reports as checkpoint_save_ms / checkpoint_save_mb_per_s.
 //  - Bounded footprint: MeasureFootprint's bytes-per-flow (socket pools +
 //    timer-wheel node pools + arenas over peak live flows) is gated, so a
 //    per-flow allocation regression fails the soak rather than an OOM
@@ -243,6 +246,9 @@ struct SoakOutcome {
   ChurnFootprint footprint;
   double wall_s = 0.0;
   std::size_t blob_bytes = 0;
+  double first_save_s = 0.0;  ///< the world's first save: grows the blob
+  double save_s = 0.0;        ///< a second save, sized by the first
+  bool resave_identical = false;
   bool restore_identical = false;
   bool footprint_pass = true;
   bool peak_pass = true;
@@ -257,7 +263,18 @@ SoakOutcome RunSoak(const SoakScale& scale) {
   std::vector<std::uint8_t> blob;
   for (std::size_t i = 0; i < scale.stops.size(); ++i) {
     w.RunTo(scale.stops[i]);
-    if (i == scale.save_cut) blob = w.SaveCheckpoint();
+    if (i == scale.save_cut) {
+      // Save twice at one barrier: the first save grows the blob from
+      // empty, the second is sized by it — the steady state of a soak
+      // that saves periodically. Both must be the same bytes.
+      auto ts = std::chrono::steady_clock::now();
+      blob = w.SaveCheckpoint();
+      out.first_save_s = Seconds(ts);
+      ts = std::chrono::steady_clock::now();
+      const std::vector<std::uint8_t> again = w.SaveCheckpoint();
+      out.save_s = Seconds(ts);
+      out.resave_identical = again == blob;
+    }
   }
   out.wall_s = Seconds(t0);
   out.stats = w.Stats();
@@ -446,7 +463,8 @@ int Main(int argc, char** argv) {
       stderr,
       "soak [%s]: peak_live=%lld started=%llu completed=%llu "
       "dropped=%llu+%llu violations=%llu wall=%.1fs "
-      "(%.2fM events/s) bytes/flow=%.0f ckpt=%zuB restore=%s\n",
+      "(%.2fM events/s) bytes/flow=%.0f ckpt=%zuB save=%.1fms "
+      "(first %.1fms) restore=%s\n",
       scale.name, static_cast<long long>(st.peak_live),
       static_cast<unsigned long long>(st.flows_started),
       static_cast<unsigned long long>(st.flows_completed),
@@ -454,7 +472,8 @@ int Main(int argc, char** argv) {
       static_cast<unsigned long long>(st.accepts_dropped),
       static_cast<unsigned long long>(st.violations), soak.wall_s,
       static_cast<double>(st.events_executed) / soak.wall_s / 1e6,
-      soak.footprint.bytes_per_flow, soak.blob_bytes,
+      soak.footprint.bytes_per_flow, soak.blob_bytes, soak.save_s * 1e3,
+      soak.first_save_s * 1e3,
       soak.restore_identical ? "bit-identical" : "DIVERGED");
 
   if (out_path != nullptr) {
@@ -489,6 +508,14 @@ int Main(int argc, char** argv) {
     std::fprintf(out, "  \"events_per_sec\": %.0f,\n",
                  static_cast<double>(st.events_executed) / soak.wall_s);
     std::fprintf(out, "  \"checkpoint_bytes\": %zu,\n", soak.blob_bytes);
+    std::fprintf(out, "  \"checkpoint_save_ms\": %.2f,\n",
+                 soak.save_s * 1e3);
+    std::fprintf(out, "  \"checkpoint_save_mb_per_s\": %.1f,\n",
+                 static_cast<double>(soak.blob_bytes) * 1e-6 / soak.save_s);
+    std::fprintf(out, "  \"checkpoint_first_save_ms\": %.2f,\n",
+                 soak.first_save_s * 1e3);
+    std::fprintf(out, "  \"checkpoint_resave_identical\": %s,\n",
+                 soak.resave_identical ? "true" : "false");
     std::fprintf(out,
                  "  \"footprint\": {\"pool_bytes\": %zu, "
                  "\"scheduler_bytes\": %zu, \"arena_bytes\": %zu, "
@@ -525,6 +552,10 @@ int Main(int argc, char** argv) {
   }
   if (!soak.restore_identical) {
     std::fprintf(stderr, "soak_churn: mid-soak restore gate FAILED\n");
+    ok = false;
+  }
+  if (!soak.resave_identical) {
+    std::fprintf(stderr, "soak_churn: back-to-back save gate FAILED\n");
     ok = false;
   }
   if (!soak.footprint_pass) {

@@ -1,5 +1,11 @@
 #include "dctcpp/sim/checkpoint.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
+
 #include "dctcpp/net/packet.h"
 #include "dctcpp/sim/simulator.h"
 
@@ -11,7 +17,59 @@ constexpr std::uint32_t kTagSim = 0x53494d20;
 constexpr std::uint32_t kTagWorkload = 0x574b4c44;
 constexpr std::uint32_t kTagInfra = 0x494e4652;
 constexpr std::uint32_t kTagSched = 0x53434844;
+
+// A tag as its four characters, most significant byte first ("SIM "),
+// with '.' for a byte that is not printable ASCII.
+struct TagText {
+  explicit TagText(std::uint32_t tag) {
+    for (int i = 0; i < 4; ++i) {
+      const auto c = static_cast<unsigned char>(tag >> (24 - 8 * i));
+      text[i] = (c >= 0x20 && c < 0x7f) ? static_cast<char>(c) : '.';
+    }
+  }
+  char text[5] = {};
+};
 }  // namespace
+
+void CheckpointWriter::Grow(std::size_t n) {
+  const std::size_t used = size();
+  const std::size_t room = std::max(used + n, 2 * buf_.size());
+  buf_.resize(used);  // reallocation copies only the written prefix
+  // Allocate a power of two: successive saves then ask malloc for the
+  // same few block sizes and get back the blocks earlier blobs freed.
+  // Sizes that drift with the blob made glibc map fresh pages for each
+  // save, so every save faulted in every page. Only `room` is touched.
+  buf_.reserve(std::bit_ceil(room));
+  buf_.resize(room);
+  p_ = buf_.data() + used;
+  end_ = buf_.data() + room;
+}
+
+std::vector<std::uint8_t> CheckpointWriter::TakeBlob() {
+  buf_.resize(size());  // shrinking never reallocates
+  p_ = end_ = nullptr;
+  return std::exchange(buf_, {});
+}
+
+void CheckpointReader::FailOutOfBounds(std::size_t n) const {
+  std::fprintf(stderr,
+               "dctcpp checkpoint: read of %zu byte(s) at offset %zu runs "
+               "past the end of the %zu-byte blob\n",
+               n, static_cast<std::size_t>(p_ - begin_),
+               static_cast<std::size_t>(end_ - begin_));
+  std::abort();
+}
+
+void CheckpointReader::FailTag(std::uint32_t want, std::uint32_t got) const {
+  std::fprintf(stderr,
+               "dctcpp checkpoint: tag mismatch at offset %zu: expected "
+               "'%s' (0x%08x), found '%s' (0x%08x)\n",
+               static_cast<std::size_t>(p_ - begin_) - sizeof got,
+               TagText(want).text,
+               static_cast<unsigned>(want), TagText(got).text,
+               static_cast<unsigned>(got));
+  std::abort();
+}
 
 void SavePacket(CheckpointWriter& w, const Packet& pkt) {
   w.U32(static_cast<std::uint32_t>(pkt.src));

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dctcpp/util/assert.h"
@@ -48,6 +49,13 @@ struct Packet;
 /// Fixed-width little-endian append-only buffer. Section tags are written
 /// by convention before each component's fields so a drifted reader fails
 /// loudly at the drift point instead of misparsing everything after it.
+///
+/// Each field write is a bounds check, a memcpy and a pointer bump into
+/// storage the blob already owns; running out of room takes an
+/// out-of-line, cold Grow. A writer built with a size hint (the previous
+/// save's size) sizes the blob once up front, so a save that fits the
+/// hint never reallocates. The hint changes only speed: the bytes written
+/// are the same whatever it is.
 class CheckpointWriter {
  public:
   static constexpr std::uint32_t kMagic = 0x44434b50;  // "DCKP"
@@ -55,7 +63,14 @@ class CheckpointWriter {
   /// arrival calendars write entries in (at, key) order.
   static constexpr std::uint32_t kVersion = 2;
 
-  void U8(std::uint8_t v) { buf_.push_back(v); }
+  CheckpointWriter() = default;
+  explicit CheckpointWriter(std::size_t size_hint) {
+    if (size_hint > 0) Grow(size_hint);
+  }
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  void U8(std::uint8_t v) { Raw(&v, sizeof v); }
   void Bool(bool v) { U8(v ? 1 : 0); }
   void U32(std::uint32_t v) { Raw(&v, sizeof v); }
   void U64(std::uint64_t v) { Raw(&v, sizeof v); }
@@ -67,30 +82,51 @@ class CheckpointWriter {
   }
   /// Section tag: a 4-byte marker the reader must match exactly.
   void Tag(std::uint32_t tag) { U32(tag); }
+  /// The object representation of `v` in one write. Only for a run whose
+  /// in-memory layout is exactly its field-by-field encoding: no padding
+  /// (checked here), and fields the caller has static_assert-ed to sit in
+  /// encoding order at encoding width.
+  template <typename T>
+  void Pod(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(std::has_unique_object_representations_v<T>);
+    Raw(&v, sizeof v);
+  }
 
-  const std::vector<std::uint8_t>& blob() const { return buf_; }
-  std::vector<std::uint8_t> TakeBlob() { return std::move(buf_); }
+  /// Bytes written so far.
+  std::size_t size() const {
+    return static_cast<std::size_t>(p_ - buf_.data());
+  }
+  /// The written bytes, exactly size() long. Leaves the writer empty.
+  std::vector<std::uint8_t> TakeBlob();
 
  private:
   void Raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (static_cast<std::size_t>(end_ - p_) < n) [[unlikely]] Grow(n);
+    std::memcpy(p_, p, n);
+    p_ += n;
   }
+  /// Makes room for at least `n` more bytes (doubling), keeping the
+  /// written prefix. Out of line so the field writes stay small.
+  __attribute__((noinline, cold)) void Grow(std::size_t n);
 
-  std::vector<std::uint8_t> buf_;
+  std::vector<std::uint8_t> buf_;  ///< its size() is the room, not the bytes
+  std::uint8_t* p_ = nullptr;      ///< next byte to write
+  std::uint8_t* end_ = nullptr;    ///< buf_.data() + buf_.size()
 };
 
 /// Reader over a checkpoint blob. Out-of-bounds reads and tag mismatches
 /// abort: a checkpoint is trusted same-version data, not untrusted input.
+/// Before aborting they report what was expected and the byte offset.
 class CheckpointReader {
  public:
   CheckpointReader(const std::uint8_t* data, std::size_t size)
-      : p_(data), end_(data + size) {}
+      : begin_(data), p_(data), end_(data + size) {}
   explicit CheckpointReader(const std::vector<std::uint8_t>& blob)
       : CheckpointReader(blob.data(), blob.size()) {}
 
   std::uint8_t U8() {
-    DCTCPP_ASSERT(p_ < end_);
+    if (p_ == end_) [[unlikely]] FailOutOfBounds(1);
     return *p_++;
   }
   bool Bool() { return U8() != 0; }
@@ -116,25 +152,34 @@ class CheckpointReader {
   }
   std::string Str() {
     const std::uint32_t n = U32();
-    DCTCPP_ASSERT(p_ + n <= end_);
+    if (static_cast<std::size_t>(end_ - p_) < n) [[unlikely]] {
+      FailOutOfBounds(n);
+    }
     std::string s(reinterpret_cast<const char*>(p_), n);
     p_ += n;
     return s;
   }
   void ExpectTag(std::uint32_t tag) {
     const std::uint32_t got = U32();
-    DCTCPP_ASSERT(got == tag);
-    (void)got;
+    if (got != tag) [[unlikely]] FailTag(tag, got);
   }
   bool AtEnd() const { return p_ == end_; }
 
  private:
   void Raw(void* out, std::size_t n) {
-    DCTCPP_ASSERT(p_ + n <= end_);
+    if (static_cast<std::size_t>(end_ - p_) < n) [[unlikely]] {
+      FailOutOfBounds(n);
+    }
     std::memcpy(out, p_, n);
     p_ += n;
   }
+  // Out-of-line failure reports; the read path only branches to them.
+  [[noreturn]] __attribute__((noinline, cold)) void FailOutOfBounds(
+      std::size_t n) const;
+  [[noreturn]] __attribute__((noinline, cold)) void FailTag(
+      std::uint32_t want, std::uint32_t got) const;
 
+  const std::uint8_t* begin_;
   const std::uint8_t* p_;
   const std::uint8_t* end_;
 };

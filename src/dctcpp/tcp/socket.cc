@@ -852,19 +852,23 @@ void TcpSocket::SaveState(CheckpointWriter& w) const {
   w.U64(dupacks_since_arm_);
   w.U64(progress_since_arm_);
 
-  w.U64(stats_.segments_sent);
-  w.U64(stats_.segments_retransmitted);
-  w.U64(stats_.timeouts);
-  w.U64(stats_.fast_retransmits);
-  w.U64(stats_.acks_received);
-  w.U64(stats_.ece_acks_received);
-  w.U64(stats_.acks_sent);
-  w.U64(stats_.acks_batch_deferred);
+  // Stats encodes as its eight u64 counters in declaration order, which
+  // is exactly its layout: one write.
+  static_assert(sizeof(Stats) == 8 * sizeof(std::uint64_t));
+  static_assert(offsetof(Stats, segments_sent) == 0);
+  static_assert(offsetof(Stats, segments_retransmitted) == 8);
+  static_assert(offsetof(Stats, timeouts) == 16);
+  static_assert(offsetof(Stats, fast_retransmits) == 24);
+  static_assert(offsetof(Stats, acks_received) == 32);
+  static_assert(offsetof(Stats, ece_acks_received) == 40);
+  static_assert(offsetof(Stats, acks_sent) == 48);
+  static_assert(offsetof(Stats, acks_batch_deferred) == 56);
+  w.Pod(stats_);
 
   w.U32(iss_.raw());
   std::uint64_t rng_state[4];
   rng_.SaveState(rng_state);
-  for (std::uint64_t s : rng_state) w.U64(s);
+  w.Pod(rng_state);  // the four state words, in order
   cc_->SaveState(w);
 
   w.U64(sacked_.size());

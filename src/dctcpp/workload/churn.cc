@@ -303,7 +303,9 @@ ChurnFootprint ChurnWorkload::MeasureFootprint() {
 
 std::vector<std::uint8_t> ChurnWorkload::SaveCheckpoint() const {
   DCTCPP_ASSERT(started_);
-  CheckpointWriter w;
+  // Size the blob once: the previous save's size plus 1/8 headroom, as
+  // the live population drifts between saves. The first save grows.
+  CheckpointWriter w(last_blob_bytes_ + last_blob_bytes_ / 8);
   w.U32(CheckpointWriter::kMagic);
   w.U32(CheckpointWriter::kVersion);
   w.Tag(kTagChurnWorld);
@@ -317,6 +319,7 @@ std::vector<std::uint8_t> ChurnWorkload::SaveCheckpoint() const {
   w.U64(static_cast<std::uint64_t>(pool_capacity_));
   w.I64(peak_live_);
   psim_->SaveCheckpoint(w, this);
+  last_blob_bytes_ = w.size();
   return w.TakeBlob();
 }
 

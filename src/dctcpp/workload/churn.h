@@ -257,6 +257,9 @@ class ChurnWorkload final : public CheckpointHooks {
   int pool_capacity_ = 0;
   bool started_ = false;
   std::int64_t peak_live_ = 0;  ///< sampled at RunTo barriers only
+  /// Size of the last SaveCheckpoint blob: the next save's size hint. A
+  /// cache, not state: it never reaches the blob, so it changes no byte.
+  mutable std::size_t last_blob_bytes_ = 0;
 };
 
 }  // namespace dctcpp

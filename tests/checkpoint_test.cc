@@ -9,12 +9,16 @@
 // both worlds through an identical ascending stop schedule.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "dctcpp/sim/checkpoint.h"
 #include "dctcpp/tcp/socket.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
@@ -164,6 +168,210 @@ TEST(CheckpointTest, ResumeMatchesPerAckMode) {
   TcpSocket::SetBatchedAckMode(true);
   ExpectBitIdenticalResume(SmallConfig(2, Profile::kLossy),
                            EvenStops(6 * kMillisecond, 3), /*cut=*/1);
+}
+
+// Golden fingerprints: the FNV-1a of the blob of three small 2-shard
+// worlds at a fixed stop schedule, one per impairment profile. Any change
+// to the encoding — a field added, dropped, reordered or resized, or the
+// writer emitting different bytes — moves these constants. A deliberate
+// format change must bump CheckpointWriter::kVersion and re-record them.
+TEST(CheckpointTest, GoldenFingerprints) {
+  struct Golden {
+    Profile profile;
+    std::uint64_t fingerprint;
+  };
+  const Golden goldens[] = {
+      {Profile::kClean, 0x068bcb2888f783ceULL},
+      {Profile::kLossy, 0x4144fd032bc7adfbULL},
+      {Profile::kChaos, 0x597b22953c563d0cULL},
+  };
+  EXPECT_EQ(CheckpointWriter::kVersion, 2u);
+  for (const Golden& g : goldens) {
+    ChurnWorkload w(SmallConfig(2, g.profile));
+    w.Start();
+    RunSchedule(w, EvenStops(6 * kMillisecond, 3));
+    EXPECT_EQ(w.Fingerprint(), g.fingerprint)
+        << "profile " << static_cast<int>(g.profile) << ": 0x" << std::hex
+        << w.Fingerprint();
+  }
+}
+
+// Reference encoder: an append-per-field writer (vector insert and
+// push_back), the straightforward form of the encoding. The bump writer
+// must emit exactly its bytes.
+class ReferenceWriter {
+ public:
+  void U8(std::uint8_t v) { buf.push_back(v); }
+  void Bool(bool v) { U8(v ? 1 : 0); }
+  void U32(std::uint32_t v) { Raw(&v, sizeof v); }
+  void U64(std::uint64_t v) { Raw(&v, sizeof v); }
+  void I64(std::int64_t v) { Raw(&v, sizeof v); }
+  void F64(double v) { Raw(&v, sizeof v); }
+  void Str(const std::string& s) {
+    U32(static_cast<std::uint32_t>(s.size()));
+    Raw(s.data(), s.size());
+  }
+  void Tag(std::uint32_t tag) { U32(tag); }
+
+  std::vector<std::uint8_t> buf;
+
+ private:
+  void Raw(const void* p, std::size_t n) {
+    const auto* b = static_cast<const std::uint8_t*>(p);
+    buf.insert(buf.end(), b, b + n);
+  }
+};
+
+// A record of every field type with random content, the same for every
+// writer given the same seed. The reference writer spells a Pod run out
+// as its fields.
+template <typename W>
+void WriteRandomRecord(W& w, std::uint64_t seed, int fields) {
+  Rng rng(seed);
+  for (int i = 0; i < fields; ++i) {
+    switch (rng.UniformInt(0, 8)) {
+      case 0:
+        w.U8(static_cast<std::uint8_t>(rng.Next()));
+        break;
+      case 1:
+        w.Bool(rng.Chance(0.5));
+        break;
+      case 2:
+        w.U32(static_cast<std::uint32_t>(rng.Next()));
+        break;
+      case 3:
+        w.U64(rng.Next());
+        break;
+      case 4:
+        w.I64(static_cast<std::int64_t>(rng.Next()));
+        break;
+      case 5:
+        w.F64(rng.UniformDouble(-1e9, 1e9));
+        break;
+      case 6: {
+        std::string s(static_cast<std::size_t>(rng.UniformInt(0, 300)), '\0');
+        for (char& c : s) c = static_cast<char>(rng.Next());
+        w.Str(s);
+        break;
+      }
+      case 7:
+        w.Tag(static_cast<std::uint32_t>(rng.Next()));
+        break;
+      case 8: {
+        std::uint64_t words[4];
+        for (std::uint64_t& x : words) x = rng.Next();
+        if constexpr (std::is_same_v<W, CheckpointWriter>) {
+          w.Pod(words);
+        } else {
+          for (std::uint64_t x : words) w.U64(x);
+        }
+        break;
+      }
+    }
+  }
+}
+
+TEST(CheckpointWriterTest, MatchesReferenceEncoderForEverySizeHint) {
+  constexpr int kFields = 3000;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    ReferenceWriter ref;
+    WriteRandomRecord(ref, seed, kFields);
+    const std::size_t total = ref.buf.size();
+    ASSERT_GT(total, 10000u);
+
+    // No hint, hints too small (so the writer grows mid-record, at many
+    // offsets into whatever field straddles the end), exact, oversized.
+    std::vector<std::size_t> hints = {0, 1, 3, total - 1, total, total + 1,
+                                      4 * total};
+    for (std::size_t k = 0; k < 16; ++k) hints.push_back(total / 2 + k);
+    for (std::size_t hint : hints) {
+      CheckpointWriter w(hint);
+      WriteRandomRecord(w, seed, kFields);
+      EXPECT_EQ(w.size(), total);
+      const std::vector<std::uint8_t> blob = w.TakeBlob();
+      EXPECT_EQ(blob, ref.buf) << "seed " << seed << " hint " << hint;
+      EXPECT_EQ(blob.size(), total) << "hint " << hint;
+      // A hint that covers the record sizes the blob once: no growth.
+      if (hint >= total) {
+        EXPECT_EQ(blob.capacity(), std::bit_ceil(hint));
+      }
+    }
+  }
+}
+
+TEST(CheckpointWriterTest, TakeBlobLeavesAnEmptyReusableWriter) {
+  CheckpointWriter w(64);
+  w.U64(7);
+  EXPECT_EQ(w.TakeBlob().size(), 8u);
+  EXPECT_EQ(w.size(), 0u);
+  w.U32(9);
+  EXPECT_EQ(w.TakeBlob(), (std::vector<std::uint8_t>{9, 0, 0, 0}));
+}
+
+TEST(CheckpointTest, BackToBackSavesAreIdentical) {
+  // The first save grows from empty; the second is sized by the first.
+  ChurnWorkload w(SmallConfig(2, Profile::kChaos));
+  w.Start();
+  RunSchedule(w, EvenStops(4 * kMillisecond, 2));
+  const std::vector<std::uint8_t> first = w.SaveCheckpoint();
+  const std::vector<std::uint8_t> second = w.SaveCheckpoint();
+  EXPECT_EQ(second, first);
+}
+
+// A blob from a small world at a fixed barrier, for the reader failures.
+std::vector<std::uint8_t> SmallBlob() {
+  ChurnWorkload w(SmallConfig(1, Profile::kClean));
+  w.Start();
+  w.RunTo(2 * kMillisecond);
+  return w.SaveCheckpoint();
+}
+
+TEST(CheckpointReaderDeathTest, TagMismatchNamesBothTagsAndTheOffset) {
+  // Magic and version take bytes 0-7; the churn world tag "CHRN" is
+  // stored little-endian at 8-11, so byte 8 is its last character.
+  std::vector<std::uint8_t> blob = SmallBlob();
+  ASSERT_EQ(blob[8], 'N');
+  blob[8] = 'X';
+  EXPECT_DEATH(
+      {
+        ChurnWorkload w(SmallConfig(1, Profile::kClean));
+        w.RestoreCheckpoint(blob);
+      },
+      "tag mismatch at offset 8: expected 'CHRN' \\(0x4348524e\\), found "
+      "'CHRX' \\(0x43485258\\)");
+}
+
+TEST(CheckpointReaderDeathTest, TruncatedBlobNamesTheOffset) {
+  std::vector<std::uint8_t> blob = SmallBlob();
+  blob.resize(blob.size() / 2);
+  const std::string size = std::to_string(blob.size());
+  EXPECT_DEATH(
+      {
+        ChurnWorkload w(SmallConfig(1, Profile::kClean));
+        w.RestoreCheckpoint(blob);
+      },
+      "read of [0-9]+ byte\\(s\\) at offset [0-9]+ runs past the end of the " +
+          size + "-byte blob");
+}
+
+TEST(CheckpointReaderDeathTest, ReaderReportsExactOffsets) {
+  const std::vector<std::uint8_t> blob = {1, 2, 3, 4, 5, 6};
+  EXPECT_DEATH(
+      {
+        CheckpointReader r(blob);
+        r.U32();
+        r.U32();
+      },
+      "read of 4 byte\\(s\\) at offset 4 runs past the end of the 6-byte "
+      "blob");
+  EXPECT_DEATH(
+      {
+        CheckpointReader r(blob);
+        r.U8();
+        r.ExpectTag(0x53494d20);  // "SIM "
+      },
+      "tag mismatch at offset 1: expected 'SIM ' \\(0x53494d20\\), found "
+      "'....' \\(0x05040302\\)");
 }
 
 // The headline satellite: an impaired N=1400 churn run saved at 50
