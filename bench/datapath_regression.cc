@@ -5,21 +5,18 @@
 // queues, link pipelines, and the TCP scoreboards.
 //
 // The headline scenario is the paper's canonical N=40 DCTCP incast, run
-// three times in the same process: once on the production datapath
-// (PacketRing FIFOs + flat flow tables), once with the std::deque FIFO
-// reference, and once with the std::map flow-table oracle
-// (SetReferenceFlowTableForTest). All runs must produce bit-identical
-// simulation results —
-// goodput, timeout counts, event counts — which is the determinism gate;
-// the timing delta is the honest in-binary before/after for the container
-// swap. The recorded pre-PR baseline (the seed binary measured with
-// identical flags on the machine that produced DESIGN.md's numbers) is
-// also embedded so the JSON can report speedup against the full pre-PR
-// datapath, which additionally lacked today's copy-chain elimination and
-// wide level-0 timer wheel.
+// several times in the same process: three draws on the production
+// datapath and one with per-ACK emission (TcpSocket::SetBatchedAckMode),
+// the reference for batched ACK processing. All runs must
+// produce bit-identical simulation results — goodput, timeout counts,
+// event counts — which is the determinism gate. The smoke-length run is
+// also pinned to a golden fingerprint in tests/golden_incast_test.cc.
+// The recorded gate baseline (kGateBaselinePacketsPerSec) is embedded so
+// the JSON can report speedup against it.
 //
-// Component microbenchmarks (ring vs deque, flat vs map scoreboard,
-// ParallelFor dispatch) isolate where the end-to-end delta comes from.
+// Component microbenchmarks (ring vs deque, flat vs map scoreboard and
+// flow table, ParallelFor dispatch) isolate where the per-packet cost
+// goes.
 //
 // Usage: datapath_regression [--smoke] [output.json]   (default: stdout)
 //
@@ -34,6 +31,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,7 +44,6 @@
 #include "dctcpp/util/flow_table.h"
 #include "dctcpp/util/interval_set.h"
 #include "dctcpp/util/profile.h"
-#include "dctcpp/util/reference_mode.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
 #include "dctcpp/workload/incast.h"
@@ -99,22 +96,14 @@ IncastConfig CanonicalConfig(int rounds) {
   return config;
 }
 
-IncastTiming TimedIncast(const char* mode, bool reference_fifo, int rounds,
-                         bool reference_flowmap = false,
-                         bool per_ack_reference = false,
-                         bool scalar_reference = false) {
-  SetReferenceFifoForTest(reference_fifo);
-  SetReferenceFlowTableForTest(reference_flowmap);
-  SetScalarReferenceForTest(scalar_reference);
+IncastTiming TimedIncast(const char* mode, int rounds,
+                         bool per_ack_reference = false) {
   TcpSocket::SetBatchedAckMode(!per_ack_reference);
   prof::Reset();
   prof::HwReset();
   const double start = Now();
   const IncastResult r = RunIncast(CanonicalConfig(rounds));
   const double seconds = Now() - start;
-  SetReferenceFifoForTest(false);
-  SetReferenceFlowTableForTest(false);
-  SetScalarReferenceForTest(false);
   TcpSocket::SetBatchedAckMode(true);
   return IncastTiming{mode,      seconds,           r.packets_forwarded,
                       r.events,  r.goodput_mbps,    r.timeouts,
@@ -130,13 +119,21 @@ struct MicroResult {
   double OpsPerSec() const { return ops / seconds; }
 };
 
+/// The std::deque<Packet> the ring replaced, behind PacketRing's calls.
+struct DequeFifo {
+  std::deque<Packet> q;
+  void PushBack(const Packet& pkt) { q.push_back(pkt); }
+  bool Empty() const { return q.empty(); }
+  const Packet& Front() const { return q.front(); }
+  void PopFront() { q.pop_front(); }
+};
+
 /// Bursty FIFO traffic shaped like a switch port under incast: push a
 /// fan-in burst, drain it, repeat. Exercises wrap-around continuously.
-MicroResult FifoPushPop(const char* name, bool reference_fifo,
-                        std::uint64_t total) {
-  SetReferenceFifoForTest(reference_fifo);
-  PacketFifo fifo;
-  SetReferenceFifoForTest(false);
+/// `Fifo` is PacketRing or a std::deque<Packet> behind the same calls.
+template <typename Fifo>
+MicroResult FifoPushPop(const char* name, std::uint64_t total) {
+  Fifo fifo;
   Packet pkt;
   pkt.payload = kMss;
   std::uint64_t checksum = 0;
@@ -287,27 +284,15 @@ int Main(int argc, char** argv) {
 
   // Warm-up run so first-touch page faults (node pools, ring growth) don't
   // bias whichever mode is measured first.
-  TimedIncast("warmup", false, smoke ? 5 : 30);
+  TimedIncast("warmup", smoke ? 5 : 30);
 
-  const IncastTiming optimized = TimedIncast("ring", false, rounds);
-  const IncastTiming reference = TimedIncast("reference_deque", true, rounds);
-  const IncastTiming ref_flowmap =
-      TimedIncast("reference_flowmap", false, rounds,
-                  /*reference_flowmap=*/true);
+  const IncastTiming optimized = TimedIncast("ring", rounds);
   // Second production-mode draw, deliberately placed mid-bench: the host
   // occasionally enters multi-second slow windows (observed +-15% on this
   // container), and draws taken seconds apart decorrelate against them.
-  const IncastTiming ring_mid = TimedIncast("ring_mid", false, rounds);
+  const IncastTiming ring_mid = TimedIncast("ring_mid", rounds);
   const IncastTiming ref_per_ack =
-      TimedIncast("reference_per_ack", false, rounds,
-                  /*reference_flowmap=*/false, /*per_ack_reference=*/true);
-  // Scalar reference: per-packet wheel pops (no same-tick batch drain), no
-  // lookahead prefetch, and the original three-copy egress chain through
-  // on_wire_/propagating_ — the oracle the burst pipeline must match.
-  const IncastTiming ref_scalar =
-      TimedIncast("reference_scalar", false, rounds,
-                  /*reference_flowmap=*/false, /*per_ack_reference=*/false,
-                  /*scalar_reference=*/true);
+      TimedIncast("reference_per_ack", rounds, /*per_ack_reference=*/true);
   // Third production-mode run, last in the process. Two jobs: (a) the
   // determinism gate below also proves ring-vs-ring repeatability (a
   // use-after-free or stray global would likely break self-agreement
@@ -315,7 +300,7 @@ int Main(int argc, char** argv) {
   // — container noise (neighbor load, frequency steps) only ever subtracts
   // throughput, so max-of-N is the standard way to damp false gate
   // failures without inflating what the number claims.
-  const IncastTiming ring_rerun = TimedIncast("ring_rerun", false, rounds);
+  const IncastTiming ring_rerun = TimedIncast("ring_rerun", rounds);
 
   const auto matches = [&optimized](const IncastTiming& other) {
     return optimized.goodput_mbps == other.goodput_mbps &&
@@ -324,13 +309,12 @@ int Main(int argc, char** argv) {
            optimized.packets == other.packets &&
            optimized.rounds == other.rounds;
   };
-  bool deterministic = matches(reference) && matches(ref_flowmap) &&
-                       matches(ring_mid) && matches(ref_per_ack) &&
-                       matches(ref_scalar) && matches(ring_rerun);
+  bool deterministic =
+      matches(ring_mid) && matches(ref_per_ack) && matches(ring_rerun);
 
   std::vector<MicroResult> micro;
-  micro.push_back(FifoPushPop("fifo_ring", false, micro_ops));
-  micro.push_back(FifoPushPop("fifo_deque", true, micro_ops));
+  micro.push_back(FifoPushPop<PacketRing>("fifo_ring", micro_ops));
+  micro.push_back(FifoPushPop<DequeFifo>("fifo_deque", micro_ops));
   micro.push_back(
       ScoreboardChurn<IntervalSet>("scoreboard_flat", micro_ops / 4));
   micro.push_back(
@@ -369,7 +353,7 @@ int Main(int argc, char** argv) {
          gate_retries.size() < 5) {
     std::this_thread::sleep_for(std::chrono::seconds(5));
     gate_retries.push_back(
-        TimedIncast(kRetryNames[gate_retries.size()], false, rounds));
+        TimedIncast(kRetryNames[gate_retries.size()], rounds));
     if (!matches(gate_retries.back())) {
       deterministic = false;
     } else {
@@ -392,11 +376,8 @@ int Main(int argc, char** argv) {
   std::fprintf(out, "  \"rounds\": %d,\n", rounds);
   std::fprintf(out, "  \"incast\": [\n");
   WriteIncast(out, optimized, ",");
-  WriteIncast(out, reference, ",");
-  WriteIncast(out, ref_flowmap, ",");
   WriteIncast(out, ring_mid, ",");
   WriteIncast(out, ref_per_ack, ",");
-  WriteIncast(out, ref_scalar, ",");
   WriteIncast(out, ring_rerun, gate_retries.empty() ? "" : ",");
   for (std::size_t i = 0; i < gate_retries.size(); ++i) {
     WriteIncast(out, gate_retries[i],
@@ -408,10 +389,6 @@ int Main(int argc, char** argv) {
                "\"goodput_mbps\": %.1f, \"timeouts\": %llu},\n",
                deterministic ? "true" : "false", optimized.goodput_mbps,
                static_cast<unsigned long long>(optimized.timeouts));
-  std::fprintf(out, "  \"speedup_packets_vs_reference_fifo\": %.2f,\n",
-               optimized.PacketsPerSec() / reference.PacketsPerSec());
-  std::fprintf(out, "  \"speedup_packets_vs_reference_scalar\": %.2f,\n",
-               optimized.PacketsPerSec() / ref_scalar.PacketsPerSec());
   // Cross-machine historical baselines (seed commit 5929353, PR-2 commit
   // bd01566) used to be embedded here; their ratios silently read < 1.0x
   // on slower containers and misled readers into seeing a regression. The
@@ -479,20 +456,6 @@ int Main(int argc, char** argv) {
                    cyc > 0 ? instr / cyc : 0.0,
                    static_cast<unsigned long long>(hw.total.cache_misses),
                    static_cast<unsigned long long>(hw.total.branch_misses));
-      // Reference-scalar deltas: what the burst pipeline removed, in the
-      // units that drove the optimisation (misses, not guesses).
-      const prof::HwSnapshotData& ref = ref_scalar.hw;
-      if (ref.available) {
-        std::fprintf(
-            out,
-            ",\n    \"reference_scalar_total\": {\"cycles\": %llu, "
-            "\"instructions\": %llu, \"cache_misses\": %llu, "
-            "\"branch_misses\": %llu}",
-            static_cast<unsigned long long>(ref.total.cycles),
-            static_cast<unsigned long long>(ref.total.instructions),
-            static_cast<unsigned long long>(ref.total.cache_misses),
-            static_cast<unsigned long long>(ref.total.branch_misses));
-      }
     }
     if (hw.available && hw.per_phase) {
       std::fprintf(out, ",\n    \"phases\": [\n");

@@ -53,62 +53,6 @@ double Now() {
       .count();
 }
 
-// --- run fingerprint -------------------------------------------------------
-
-std::uint64_t Fnv(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::uint64_t FnvDouble(std::uint64_t h, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof bits);
-  return Fnv(h, bits);
-}
-
-/// Order-sensitive hash over every deterministic field of the result,
-/// doubles by bit pattern. Equal fingerprints == bit-identical summaries.
-/// Deliberately excludes windows_run / sync_rounds / gang_windows /
-/// cross_shard_handoffs: those describe HOW the coordinator scheduled the
-/// run (mode- and partition-dependent by design), not WHAT the simulation
-/// computed.
-std::uint64_t Fingerprint(const IncastResult& r) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  h = Fnv(h, r.rounds_completed);
-  h = FnvDouble(h, r.goodput_mbps);
-  h = Fnv(h, r.fct_ms.count());
-  for (double s : r.fct_ms.samples()) h = FnvDouble(h, s);
-  for (std::int64_t b = r.cwnd_hist.lo(); b <= r.cwnd_hist.hi(); ++b) {
-    h = Fnv(h, r.cwnd_hist.CountAt(b));
-  }
-  h = Fnv(h, r.cwnd_hist.underflow());
-  h = Fnv(h, r.cwnd_hist.overflow());
-  h = Fnv(h, r.timeouts);
-  h = Fnv(h, r.floss_timeouts);
-  h = Fnv(h, r.lack_timeouts);
-  h = Fnv(h, r.fast_retransmits);
-  h = Fnv(h, r.tracked_rounds_at_min_ece);
-  h = Fnv(h, r.tracked_rounds_with_timeout);
-  h = Fnv(h, r.tracked_floss);
-  h = Fnv(h, r.tracked_lack);
-  h = Fnv(h, r.bottleneck_drops);
-  h = Fnv(h, r.bottleneck_marks);
-  h = Fnv(h, static_cast<std::uint64_t>(r.bottleneck_max_queue));
-  h = FnvDouble(h, r.flow_fairness);
-  h = Fnv(h, r.events);
-  h = Fnv(h, r.packets_forwarded);
-  h = FnvDouble(h, r.sim_seconds);
-  h = Fnv(h, r.invariant_violations);
-  h = Fnv(h, r.packets_originated);
-  h = Fnv(h, r.packets_dropped);
-  h = Fnv(h, r.packets_duplicated);
-  h = Fnv(h, r.checksum_discards);
-  return h;
-}
-
 // --- determinism gate ------------------------------------------------------
 
 IncastConfig GateConfig(Protocol protocol, std::uint64_t seed,

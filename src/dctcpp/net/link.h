@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include <memory>
 
@@ -21,7 +20,6 @@
 #include "dctcpp/sim/pinned_event.h"
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/util/assert.h"
-#include "dctcpp/util/reference_mode.h"
 #include "dctcpp/util/units.h"
 
 namespace dctcpp {
@@ -120,61 +118,13 @@ class EgressPort : public Checkpointable {
   /// queue contents, the serializing packet (with its lazy finish instant
   /// in unsharded mode, the finish event's exact arming in sharded mode),
   /// the propagation pipeline, the impairment stage, counters, and the
-  /// delivery event's exact arming.
+  /// delivery event's exact arming. LoadState rejects a blob whose
+  /// transmitter and queue disagree on whether a packet is serializing.
   void SaveState(CheckpointWriter& w) const override;
   void LoadState(CheckpointReader& r) override;
 
  private:
   friend class ImpairmentStage;
-
-  /// Flat power-of-two ring of absolute delivery times, FIFO. Covers the
-  /// propagation stage plus (unsharded) the serving packet, whose due time
-  /// is computed at serialization begin. No steady-state allocation.
-  class TickFifo {
-   public:
-    TickFifo() : buf_(64) {}
-    bool Empty() const { return size_ == 0; }
-    Tick Front() const {
-      DCTCPP_DASSERT(size_ > 0);
-      return buf_[head_];
-    }
-    void PushBack(Tick t) {
-      if (size_ == buf_.size()) Grow();
-      buf_[(head_ + size_) & (buf_.size() - 1)] = t;
-      ++size_;
-    }
-    void PopFront() {
-      DCTCPP_DASSERT(size_ > 0);
-      head_ = (head_ + 1) & (buf_.size() - 1);
-      --size_;
-    }
-
-    void SaveState(CheckpointWriter& w) const {
-      w.U64(size_);
-      for (std::size_t i = 0; i < size_; ++i) {
-        w.I64(buf_[(head_ + i) & (buf_.size() - 1)]);
-      }
-    }
-    void LoadState(CheckpointReader& r) {
-      DCTCPP_ASSERT(size_ == 0);
-      const std::uint64_t n = r.U64();
-      for (std::uint64_t i = 0; i < n; ++i) PushBack(r.I64());
-    }
-
-   private:
-    void Grow() {
-      std::vector<Tick> bigger(buf_.size() * 2);
-      for (std::size_t i = 0; i < size_; ++i) {
-        bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-      }
-      buf_ = std::move(bigger);
-      head_ = 0;
-    }
-
-    std::vector<Tick> buf_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
-  };
 
   /// Shared tail of Send/InjectReleased: queue admission (counting
   /// overflow drops in the ledger), the amortized byte audit, and the
@@ -184,6 +134,11 @@ class EgressPort : public Checkpointable {
   /// Re-entry point for packets the impairment stage held for reordering:
   /// straight into the queue, skipping re-impairment.
   void InjectReleased(const Packet& pkt) { EnqueueForTransmit(pkt); }
+
+  /// The head queued packet begins serializing in place (see the one-copy
+  /// notes above `due_`): marks the wire busy, records its bytes, and
+  /// returns its serialization time. Precondition: !queue_.Empty().
+  Tick ServeHead();
 
   void StartTransmission();
   void FinishTransmission();
@@ -251,16 +206,13 @@ class EgressPort : public Checkpointable {
   Tick tx_time_ack_ = 0;
   Bytes tx_size_ack_ = 0;
   std::uint64_t conservation_clock_ = 0;
-  // One-copy egress (the production path, `staged_` true): the serializing
-  // packet and the packets in flight on the wire stay *inside the queue's
-  // ring* — BeginService/FinishServiceToWire/PopPropagating move region
-  // boundaries over slots written once at Enqueue. The scalar reference
-  // mode (SetScalarReferenceForTest) instead replays the original copy
-  // chain through `on_wire_` and `propagating_` below, so the regression
-  // harness can prove the staged pipeline is observationally identical.
-  // Either way propagation delay is constant per port, so deliveries leave
-  // the wire in FIFO order: one pinned delivery event tracks the head's
-  // due time (`due_`), re-arming itself as packets drain.
+  // One-copy egress: the serializing packet and the packets in flight on
+  // the wire stay *inside the queue's ring* — BeginService/
+  // FinishServiceToWire/PopPropagating move region boundaries over slots
+  // written once at Enqueue. Propagation delay is constant per port, so
+  // deliveries leave the wire in FIFO order: one pinned delivery event
+  // tracks the head's due time (`due_`), re-arming itself as packets
+  // drain.
   //
   // Unsharded runs never arm `finish_ev_`: serialization completions are
   // settled lazily by SettleTo at the port's observation points instead of
@@ -272,10 +224,7 @@ class EgressPort : public Checkpointable {
   // port's only armed wheel node however many packets it carries. Sharded
   // mode keeps the eventful finish: the calendar handoff must execute
   // inside the conservative-parallel window that contains it.
-  const bool staged_ = !ScalarReferenceEnabled();
-  Packet on_wire_;
-  PacketFifo propagating_;
-  TickFifo due_;
+  Ring<Tick> due_{64};  // absolute delivery times, FIFO
   Tick t_fin_ = 0;
   PinnedEvent finish_ev_;
   PinnedEvent deliver_ev_;

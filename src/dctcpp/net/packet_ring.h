@@ -1,22 +1,17 @@
-// Flat ring buffer of Packets — the datapath FIFO.
+// Flat ring buffer — the datapath FIFO.
 //
-// Every switch-port queue and every in-flight propagation pipeline holds
-// packets in strict FIFO order, so the container only ever needs
-// push-back / front / pop-front. PacketRing provides exactly that over one
-// contiguous power-of-two array: no per-block bookkeeping (std::deque), no
-// allocation in steady state, and PushBack returns a reference to the
-// stored slot so callers can finish building the packet (ECN marking) in
-// place instead of copying twice.
-//
-// PacketFifo wraps PacketRing with a process-wide "reference mode" that
-// swaps the storage for the std::deque this repo used before the ring.
-// The datapath regression harness and the determinism ctest run the same
-// simulation in both modes: identical results prove the ring is a pure
-// mechanism change, and the timing delta is the honest before/after.
+// An egress port's queued, serializing and propagating packets all leave
+// in strict FIFO order, so they share one ring (DropTailEcnQueue holds it
+// and stages the regions, see net/queue.h), and the container only ever
+// needs push-back / indexed access / pop-front. PacketRing provides
+// exactly that over one contiguous power-of-two array: no per-block
+// bookkeeping (std::deque), no allocation in steady state, and PushBack
+// returns a reference to the stored slot so callers can finish building
+// the packet (ECN marking) in place instead of copying twice. The port
+// keeps its delivery times in a Ring<Tick>.
 #pragma once
 
 #include <cstddef>
-#include <deque>
 #include <vector>
 
 #include "dctcpp/net/packet.h"
@@ -24,11 +19,12 @@
 
 namespace dctcpp {
 
-class PacketRing {
+template <typename T>
+class Ring {
  public:
   /// `initial_capacity` is rounded up to a power of two; the ring grows by
   /// doubling when full.
-  explicit PacketRing(std::size_t initial_capacity = 16) {
+  explicit Ring(std::size_t initial_capacity = 16) {
     std::size_t cap = 1;
     while (cap < initial_capacity) cap <<= 1;
     slots_.resize(cap);
@@ -39,17 +35,17 @@ class PacketRing {
   std::size_t Size() const { return count_; }
   std::size_t Capacity() const { return mask_ + 1; }
 
-  /// Appends a copy of `pkt` and returns the stored slot (valid until the
+  /// Appends a copy of `v` and returns the stored slot (valid until the
   /// next PushBack, which may grow the ring).
-  Packet& PushBack(const Packet& pkt) {
+  T& PushBack(const T& v) {
     if (count_ > mask_) Grow();
-    Packet& slot = slots_[(head_ + count_) & mask_];
-    slot = pkt;
+    T& slot = slots_[(head_ + count_) & mask_];
+    slot = v;
     ++count_;
     return slot;
   }
 
-  const Packet& Front() const {
+  const T& Front() const {
     DCTCPP_DASSERT(count_ > 0);
     return slots_[head_];
   }
@@ -60,21 +56,21 @@ class PacketRing {
     --count_;
   }
 
-  /// The i-th resident packet in FIFO order (0 = Front). The staged
+  /// The i-th resident entry in FIFO order (0 = Front). The staged
   /// egress pipeline addresses its serving/propagating regions this way;
   /// the reference stays valid until the next PushBack (which may grow
   /// the ring) or PopFront.
-  Packet& At(std::size_t i) {
+  T& At(std::size_t i) {
     DCTCPP_DASSERT(i < count_);
     return slots_[(head_ + i) & mask_];
   }
-  const Packet& At(std::size_t i) const {
+  const T& At(std::size_t i) const {
     DCTCPP_DASSERT(i < count_);
     return slots_[(head_ + i) & mask_];
   }
 
-  /// Visits every resident packet in FIFO order (audit walks only — the
-  /// datapath itself never iterates).
+  /// Visits every resident entry in FIFO order (audits and checkpoints
+  /// only — the datapath itself never iterates).
   template <typename F>
   void ForEach(F&& fn) const {
     for (std::size_t i = 0; i < count_; ++i) {
@@ -84,7 +80,7 @@ class PacketRing {
 
  private:
   void Grow() {
-    std::vector<Packet> bigger(slots_.size() * 2);
+    std::vector<T> bigger(slots_.size() * 2);
     for (std::size_t i = 0; i < count_; ++i) {
       bigger[i] = slots_[(head_ + i) & mask_];
     }
@@ -97,72 +93,12 @@ class PacketRing {
   // every operation: with 64-byte Packets the slot index is then one
   // add+and+shift, where reloading the vector size put a load and a
   // non-constant multiply on the fifo_ring micro's critical path.
-  std::vector<Packet> slots_;
+  std::vector<T> slots_;
   std::size_t mask_ = 0;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };
 
-/// Selects the storage backend of every PacketFifo constructed afterwards.
-/// Reference mode (std::deque) exists solely so benchmarks and determinism
-/// tests can replay the pre-ring datapath inside the same binary; toggle it
-/// only between simulation runs, never while one is in flight.
-void SetReferenceFifoForTest(bool enabled);
-bool ReferenceFifoEnabled();
-
-/// FIFO of packets backed by PacketRing (production) or std::deque
-/// (reference mode, decided at construction).
-class PacketFifo {
- public:
-  PacketFifo();
-
-  bool Empty() const { return reference_ ? deque_.empty() : ring_.Empty(); }
-  std::size_t Size() const {
-    return reference_ ? deque_.size() : ring_.Size();
-  }
-
-  Packet& PushBack(const Packet& pkt) {
-    if (reference_) {
-      deque_.push_back(pkt);
-      return deque_.back();
-    }
-    return ring_.PushBack(pkt);
-  }
-
-  const Packet& Front() const {
-    return reference_ ? deque_.front() : ring_.Front();
-  }
-
-  void PopFront() {
-    if (reference_) {
-      deque_.pop_front();
-    } else {
-      ring_.PopFront();
-    }
-  }
-
-  /// The i-th resident packet in FIFO order (0 = Front); see PacketRing::At.
-  Packet& At(std::size_t i) {
-    return reference_ ? deque_[i] : ring_.At(i);
-  }
-  const Packet& At(std::size_t i) const {
-    return reference_ ? deque_[i] : ring_.At(i);
-  }
-
-  /// Visits every resident packet in FIFO order (audit walks only).
-  template <typename F>
-  void ForEach(F&& fn) const {
-    if (reference_) {
-      for (const Packet& pkt : deque_) fn(pkt);
-    } else {
-      ring_.ForEach(fn);
-    }
-  }
-
- private:
-  bool reference_;
-  PacketRing ring_;
-  std::deque<Packet> deque_;
-};
+using PacketRing = Ring<Packet>;
 
 }  // namespace dctcpp

@@ -328,9 +328,7 @@ void ParallelSimulation::RunShardWindow(int idx, Tick end) {
         // Burst pipeline: while arrival i runs its socket chain, warm
         // arrival i+1's demux probe chain (the sink reads the flow key out
         // of the peeked entry, which doubles as the packet prefetch).
-        // Skipped in scalar reference mode so the oracle replays the
-        // prefetch-free per-packet path.
-        if (!scalar_ref_ && more) nx->sink->PrefetchDeliver(nx->pkt);
+        if (more) nx->sink->PrefetchDeliver(nx->pkt);
         if (e.sink != run_sink) {
           sim.FlushAckBursts();
           run_sink = e.sink;

@@ -65,17 +65,10 @@ std::optional<Packet> DropTailEcnQueue::Dequeue() {
   DCTCPP_DASSERT(n_propagating_ == 0 && !serving_);
   if (queue_.Empty()) return std::nullopt;
   Packet pkt = queue_.Front();
-  PopFront();
-  return pkt;
-}
-
-void DropTailEcnQueue::PopFront() {
-  // Reference (copy-chain) egress and standalone queues only: the staged
-  // pipeline never pops a queued packet, it re-labels it as serving.
-  DCTCPP_DASSERT(n_propagating_ == 0 && !serving_);
-  occupancy_ -= queue_.Front().WireSize();
+  occupancy_ -= pkt.WireSize();
   DCTCPP_ASSERT(occupancy_ >= 0);
   queue_.PopFront();
+  return pkt;
 }
 
 const Packet& DropTailEcnQueue::BeginService() {
@@ -109,8 +102,7 @@ void DropTailEcnQueue::PopPropagating() {
 void DropTailEcnQueue::SaveState(CheckpointWriter& w) const {
   // Region sizes first, then every resident packet in FIFO order — the
   // staged regions reconstruct from the sizes alone (their packets are
-  // the FIFO prefix). Legacy/standalone queues write 0/false here, so the
-  // blob layout is the same shape in both egress modes.
+  // the FIFO prefix). Standalone queues write 0/false here.
   w.U64(n_propagating_);
   w.Bool(serving_);
   w.U64(queue_.Size());
@@ -126,9 +118,19 @@ void DropTailEcnQueue::SaveState(CheckpointWriter& w) const {
 void DropTailEcnQueue::LoadState(CheckpointReader& r) {
   DCTCPP_ASSERT(queue_.Empty());
   DCTCPP_ASSERT(n_propagating_ == 0 && !serving_);
-  n_propagating_ = r.U64();
+  const std::uint64_t propagating = r.U64();
   serving_ = r.Bool();
   const std::uint64_t n = r.U64();
+  // The staged regions are a prefix of the resident packets; a blob that
+  // claims more would underflow PacketCount().
+  if (propagating > n || (serving_ && propagating == n)) [[unlikely]] {
+    r.FailInconsistent(
+        "egress queue stages %llu propagating + %d serving packet(s) but "
+        "holds only %llu",
+        static_cast<unsigned long long>(propagating), serving_ ? 1 : 0,
+        static_cast<unsigned long long>(n));
+  }
+  n_propagating_ = static_cast<std::size_t>(propagating);
   for (std::uint64_t i = 0; i < n; ++i) queue_.PushBack(LoadPacket(r));
   occupancy_ = r.I64();
   stats_.enqueued = r.U64();

@@ -60,12 +60,6 @@ class DropTailEcnQueue {
   /// Standalone-queue API: not usable while service staging is active.
   std::optional<Packet> Dequeue();
 
-  /// Zero-copy drain used by the reference (copy-chain) transmitter: the
-  /// head queued packet in place, then an explicit pop.
-  /// Preconditions: !Empty().
-  const Packet& Front() const { return queue_.At(QueuedBase()); }
-  void PopFront();
-
   bool Empty() const { return PacketCount() == 0; }
   /// Packets awaiting service (the *queued* region only: a packet being
   /// serialized or propagating on the wire no longer occupies the buffer,
@@ -81,18 +75,19 @@ class DropTailEcnQueue {
   // regions; a packet is copied exactly once (Enqueue's slot store) and
   // then *stays in place* while it serializes and propagates — the
   // transitions below only move region boundaries. Occupancy, drop-tail
-  // admission, and ECN marking all read the queued region alone, so the
-  // buffer model is bit-identical to the copy-chain path this replaces.
-  // The EgressPort is the only caller; standalone queues (tests, RED
-  // harnesses) never stage and see the legacy behavior unchanged.
+  // admission, and ECN marking all read the queued region alone: a packet
+  // leaves the buffer when it starts serializing, as on a real port. The
+  // EgressPort is the only caller; standalone queues (tests, RED
+  // harnesses) never stage and drain through Dequeue().
 
   /// Front queued packet -> serving: leaves the buffer accounting
   /// (occupancy excludes it, as a serializing packet lives in the port's
   /// in-flight register). Returns the serving slot. Preconditions:
   /// !Empty(), no packet already serving.
   const Packet& BeginService();
-  /// The packet currently serializing. Precondition: a BeginService is
-  /// outstanding.
+  /// True while a BeginService is outstanding.
+  bool ServiceActive() const { return serving_; }
+  /// The packet currently serializing. Precondition: ServiceActive().
   const Packet& Serving() const {
     DCTCPP_DASSERT(serving_);
     return queue_.At(n_propagating_);
@@ -135,9 +130,11 @@ class DropTailEcnQueue {
 
   const Stats& stats() const { return stats_; }
 
-  /// Checkpoint: resident packets (FIFO order), occupancy, stats, and the
-  /// RED average. Configuration (capacity, K, RED parameters, RNG binding)
-  /// is reconstructed by rebuilding the topology.
+  /// Checkpoint: staged region sizes, resident packets (FIFO order),
+  /// occupancy, stats, and the RED average. Configuration (capacity, K,
+  /// RED parameters, RNG binding) is reconstructed by rebuilding the
+  /// topology. LoadState rejects a blob whose staged regions do not fit
+  /// in the packets it holds.
   void SaveState(CheckpointWriter& w) const;
   void LoadState(CheckpointReader& r);
 
@@ -152,7 +149,7 @@ class DropTailEcnQueue {
   Bytes capacity_;
   Bytes ecn_threshold_;
   Bytes occupancy_ = 0;
-  PacketFifo queue_;
+  PacketRing queue_;
   std::size_t n_propagating_ = 0;  ///< staged region sizes; see BeginService
   bool serving_ = false;
   Stats stats_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -68,6 +69,17 @@ void CheckpointReader::FailTag(std::uint32_t want, std::uint32_t got) const {
                TagText(want).text,
                static_cast<unsigned>(want), TagText(got).text,
                static_cast<unsigned>(got));
+  std::abort();
+}
+
+void CheckpointReader::FailInconsistent(const char* fmt, ...) const {
+  std::fprintf(stderr, "dctcpp checkpoint: inconsistent state at offset %zu: ",
+               static_cast<std::size_t>(p_ - begin_));
+  std::va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::fputc('\n', stderr);
   std::abort();
 }
 

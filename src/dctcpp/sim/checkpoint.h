@@ -115,9 +115,10 @@ class CheckpointWriter {
   std::uint8_t* end_ = nullptr;    ///< buf_.data() + buf_.size()
 };
 
-/// Reader over a checkpoint blob. Out-of-bounds reads and tag mismatches
-/// abort: a checkpoint is trusted same-version data, not untrusted input.
-/// Before aborting they report what was expected and the byte offset.
+/// Reader over a checkpoint blob. Out-of-bounds reads, tag mismatches and
+/// fields that contradict each other abort: a checkpoint is trusted
+/// same-version data, not untrusted input. Before aborting they report
+/// what was expected and the byte offset.
 class CheckpointReader {
  public:
   CheckpointReader(const std::uint8_t* data, std::size_t size)
@@ -164,6 +165,12 @@ class CheckpointReader {
     if (got != tag) [[unlikely]] FailTag(tag, got);
   }
   bool AtEnd() const { return p_ == end_; }
+
+  /// Aborts on fields read so far that cannot belong together, reporting
+  /// the offset just past them and the printf-formatted reason. Callers
+  /// branch here only when a consistency check fails.
+  [[noreturn]] __attribute__((noinline, cold, format(printf, 2, 3))) void
+  FailInconsistent(const char* fmt, ...) const;
 
  private:
   void Raw(void* out, std::size_t n) {

@@ -12,7 +12,7 @@ namespace dctcpp {
 
 namespace {
 /// Process-wide default for TcpSocket::SetBatchedAckMode, captured by each
-/// socket at construction (same pattern as SetReferenceFlowTableForTest).
+/// socket at construction.
 bool g_batched_ack_mode = true;
 }  // namespace
 

@@ -130,8 +130,9 @@ class TcpSocket {
   // remains selectable as the differential oracle.
 
   /// Selects the processing mode for sockets constructed afterwards
-  /// (process-wide, mirroring SetReferenceFlowTableForTest). Batched is
-  /// the default; `false` restores the per-ACK reference path.
+  /// (process-wide; flip it only between runs, never while one is in
+  /// flight). Batched is the default; `false` restores the per-ACK
+  /// reference path.
   static void SetBatchedAckMode(bool batched);
   static bool BatchedAckMode();
 

@@ -1,5 +1,6 @@
 #include "dctcpp/util/flags.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -45,13 +46,16 @@ void Flags::DefineString(const std::string& name, const std::string& def,
 
 bool Flags::SetFromString(Entry& e, const std::string& value) {
   char* end = nullptr;
+  // strtoll/strtod clamp an out-of-range value (to LLONG_MAX, HUGE_VAL,
+  // 0 ...) and say so only through errno, so it is cleared first.
+  errno = 0;
   switch (e.type) {
     case Type::kInt:
       e.i = std::strtoll(value.c_str(), &end, 10);
-      return end && *end == '\0' && !value.empty();
+      return end && *end == '\0' && !value.empty() && errno != ERANGE;
     case Type::kDouble:
       e.d = std::strtod(value.c_str(), &end);
-      return end && *end == '\0' && !value.empty();
+      return end && *end == '\0' && !value.empty() && errno != ERANGE;
     case Type::kBool:
       if (value == "true" || value == "1") {
         e.b = true;

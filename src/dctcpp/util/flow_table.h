@@ -1,6 +1,5 @@
-// Flat flow table for per-packet demux, with a std::map differential
-// oracle, following the repo's oracle-backed-rewrite pattern
-// (IntervalSet/MapIntervalSet, PacketRing/reference deque).
+// Flat flow table for per-packet demux, with a std::map reference model
+// (the same pairing as IntervalSet/MapIntervalSet).
 //
 // A host demultiplexes every delivered packet by its connection 4-tuple.
 // The local address is implicit (the table lives in the host), so the key
@@ -19,10 +18,9 @@
 // delegates) so slots relocate with plain assignment.
 //
 // MapFlowTable is the std::map<uint64, V> reference with the identical
-// API. FlowTable picks its backend at construction from a process-wide
-// flag (SetReferenceFlowTableForTest), so benches and differential tests
-// can run the same simulation on both representations and require
-// bit-identical output.
+// API. Hosts hold FlatFlowTables directly; the map is a standalone type
+// that flow_table_test drives in lockstep with the flat table and the
+// demux micro-benchmarks time against it.
 #pragma once
 
 #include <cstdint>
@@ -161,8 +159,8 @@ class FlatFlowTable {
 };
 
 /// Reference implementation: std::map keyed by the packed tuple. Same API
-/// and observable behavior as FlatFlowTable; used as the differential
-/// oracle in tests and the datapath determinism gate.
+/// and observable behavior as FlatFlowTable; the differential model in
+/// tests and the baseline of the demux micro-benchmarks.
 template <typename V>
 class MapFlowTable {
  public:
@@ -186,53 +184,6 @@ class MapFlowTable {
 
  private:
   std::map<std::uint64_t, V> map_;
-};
-
-/// Selects the reference std::map backend for FlowTables constructed while
-/// the flag is set. Process-wide; flip it before building the simulation.
-void SetReferenceFlowTableForTest(bool enabled);
-bool ReferenceFlowTableEnabled();
-
-/// Runtime-switchable flow table: production FlatFlowTable by default, the
-/// MapFlowTable oracle when reference mode was on at construction.
-template <typename V>
-class FlowTable {
- public:
-  FlowTable() : reference_(ReferenceFlowTableEnabled()) {}
-
-  void Insert(std::uint64_t key, const V& value) {
-    if (reference_) {
-      map_.Insert(key, value);
-    } else {
-      flat_.Insert(key, value);
-    }
-  }
-
-  bool Erase(std::uint64_t key) {
-    return reference_ ? map_.Erase(key) : flat_.Erase(key);
-  }
-
-  const V* Find(std::uint64_t key) const {
-    return reference_ ? map_.Find(key) : flat_.Find(key);
-  }
-
-  /// Cache hint for an upcoming Find; no-op on the map oracle.
-  void Prefetch(std::uint64_t key) const {
-    if (!reference_) flat_.Prefetch(key);
-  }
-
-  bool Contains(std::uint64_t key) const {
-    return reference_ ? map_.Contains(key) : flat_.Contains(key);
-  }
-
-  std::size_t size() const { return reference_ ? map_.size() : flat_.size(); }
-  bool empty() const { return size() == 0; }
-  bool is_reference() const { return reference_; }
-
- private:
-  bool reference_;
-  FlatFlowTable<V> flat_;
-  MapFlowTable<V> map_;
 };
 
 }  // namespace dctcpp

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dctcpp/util/assert.h"
+#include "dctcpp/util/fnv.h"
 
 namespace dctcpp {
 
@@ -12,9 +13,6 @@ namespace {
 // Section tags (see sim/checkpoint.h for the convention).
 constexpr std::uint32_t kTagChurnWorld = 0x4348524e;  // "CHRN" world header
 constexpr std::uint32_t kTagChurnShard = 0x43485348;  // "CHSH" per-shard hook
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 Tick ExpTicks(Rng& rng, double mean) {
   return std::max<Tick>(
@@ -345,12 +343,9 @@ void ChurnWorkload::RestoreCheckpoint(
 
 std::uint64_t ChurnWorkload::Fingerprint() const {
   const std::vector<std::uint8_t> blob = SaveCheckpoint();
-  std::uint64_t h = kFnvOffset;
-  for (std::uint8_t b : blob) {
-    h ^= b;
-    h *= kFnvPrime;
-  }
-  return h;
+  Fnv1a h;
+  h.Bytes(blob.data(), blob.size());
+  return h.value();
 }
 
 void ChurnWorkload::SaveWorkload(CheckpointWriter& w, int shard) const {

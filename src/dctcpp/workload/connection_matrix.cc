@@ -6,6 +6,7 @@
 
 #include "dctcpp/net/parallel.h"
 #include "dctcpp/util/assert.h"
+#include "dctcpp/util/fnv.h"
 #include "dctcpp/util/log.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/workload/apps.h"
@@ -321,6 +322,23 @@ FabricRunResult RunFabricWorkload(const FabricRunConfig& config) {
                 psim.first_violation().c_str());
   }
   return result;
+}
+
+std::uint64_t Fingerprint(const FabricRunResult& r) {
+  Fnv1a h;
+  h.U64(static_cast<std::uint64_t>(r.flows_completed));
+  h.U64(static_cast<std::uint64_t>(r.bytes_delivered));
+  h.U64(r.fct_ms.count());
+  for (double s : r.fct_ms.samples()) h.F64(s);
+  h.F64(r.goodput_mbps);
+  h.F64(r.sim_seconds);
+  h.U64(r.events);
+  h.U64(r.packets_forwarded);
+  h.U64(r.invariant_violations);
+  h.U64(r.packets_originated);
+  h.U64(r.packets_dropped);
+  h.U64(r.checksum_discards);
+  return h.value();
 }
 
 }  // namespace dctcpp

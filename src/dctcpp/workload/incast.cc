@@ -6,6 +6,7 @@
 #include "dctcpp/net/parallel.h"
 #include "dctcpp/sim/simulator.h"
 #include "dctcpp/tcp/probe.h"
+#include "dctcpp/util/fnv.h"
 #include "dctcpp/util/log.h"
 #include "dctcpp/workload/apps.h"
 
@@ -475,6 +476,40 @@ IncastResult RunIncast(const IncastConfig& config) {
                 sim.invariants().first_violation().c_str());
   }
   return result;
+}
+
+std::uint64_t Fingerprint(const IncastResult& r) {
+  Fnv1a h;
+  h.U64(r.rounds_completed);
+  h.F64(r.goodput_mbps);
+  h.U64(r.fct_ms.count());
+  for (double s : r.fct_ms.samples()) h.F64(s);
+  for (std::int64_t b = r.cwnd_hist.lo(); b <= r.cwnd_hist.hi(); ++b) {
+    h.U64(r.cwnd_hist.CountAt(b));
+  }
+  h.U64(r.cwnd_hist.underflow());
+  h.U64(r.cwnd_hist.overflow());
+  h.U64(r.timeouts);
+  h.U64(r.floss_timeouts);
+  h.U64(r.lack_timeouts);
+  h.U64(r.fast_retransmits);
+  h.U64(r.tracked_rounds_at_min_ece);
+  h.U64(r.tracked_rounds_with_timeout);
+  h.U64(r.tracked_floss);
+  h.U64(r.tracked_lack);
+  h.U64(r.bottleneck_drops);
+  h.U64(r.bottleneck_marks);
+  h.U64(static_cast<std::uint64_t>(r.bottleneck_max_queue));
+  h.F64(r.flow_fairness);
+  h.U64(r.events);
+  h.U64(r.packets_forwarded);
+  h.F64(r.sim_seconds);
+  h.U64(r.invariant_violations);
+  h.U64(r.packets_originated);
+  h.U64(r.packets_dropped);
+  h.U64(r.packets_duplicated);
+  h.U64(r.checksum_discards);
+  return h.value();
 }
 
 }  // namespace dctcpp

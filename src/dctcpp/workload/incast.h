@@ -143,4 +143,12 @@ struct IncastResult {
 /// Runs one incast simulation to completion and returns its metrics.
 IncastResult RunIncast(const IncastConfig& config);
 
+/// FNV-1a over every deterministic field of the result, doubles by bit
+/// pattern: equal fingerprints == bit-identical summaries. Leaves out
+/// windows_run / sync_rounds / gang_windows / cross_shard_handoffs /
+/// calendar_run_share / shard_events: those describe HOW the coordinator
+/// scheduled the run (shard-count- and mode-dependent by design), not
+/// WHAT the simulation computed.
+std::uint64_t Fingerprint(const IncastResult& r);
+
 }  // namespace dctcpp

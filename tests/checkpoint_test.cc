@@ -18,7 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include "dctcpp/net/link.h"
+#include "dctcpp/net/queue.h"
 #include "dctcpp/sim/checkpoint.h"
+#include "dctcpp/sim/simulator.h"
 #include "dctcpp/tcp/socket.h"
 #include "dctcpp/util/rng.h"
 #include "dctcpp/util/thread_pool.h"
@@ -372,6 +375,85 @@ TEST(CheckpointReaderDeathTest, ReaderReportsExactOffsets) {
       },
       "tag mismatch at offset 1: expected 'SIM ' \\(0x53494d20\\), found "
       "'....' \\(0x05040302\\)");
+}
+
+// Egress state that contradicts itself: the queue's staged regions are a
+// prefix of its resident packets, and the port transmits exactly while
+// its queue has a packet in service. Both loads reject a blob that breaks
+// this before touching anything downstream of it.
+
+TEST(CheckpointReaderDeathTest, QueueRejectsStagedRegionsPastItsPackets) {
+  // Region header: 2 propagating + serving, over only 2 resident packets.
+  CheckpointWriter w;
+  w.U64(2);
+  w.Bool(true);
+  w.U64(2);
+  const std::vector<std::uint8_t> blob = w.TakeBlob();
+  EXPECT_DEATH(
+      {
+        DropTailEcnQueue q(1 << 20, 0);
+        CheckpointReader r(blob);
+        q.LoadState(r);
+      },
+      "inconsistent state at offset 17: egress queue stages 2 propagating "
+      "\\+ 1 serving packet\\(s\\) but holds only 2");
+  // More propagating packets than resident ones.
+  w.U64(3);
+  w.Bool(false);
+  w.U64(1);
+  const std::vector<std::uint8_t> blob2 = w.TakeBlob();
+  EXPECT_DEATH(
+      {
+        DropTailEcnQueue q(1 << 20, 0);
+        CheckpointReader r(blob2);
+        q.LoadState(r);
+      },
+      "egress queue stages 3 propagating \\+ 0 serving packet\\(s\\) but "
+      "holds only 1");
+}
+
+class DiscardSink : public PacketSink {
+ public:
+  void Deliver(const Packet&) override {}
+};
+
+/// The leading fields of an EgressPort blob: a one-packet queue (in
+/// service or not), the RED stream, and the transmitter flag.
+std::vector<std::uint8_t> PortBlobPrefix(bool in_service, bool transmitting) {
+  const LinkConfig config;
+  DropTailEcnQueue q(config.buffer_bytes, config.ecn_threshold);
+  Packet pkt;
+  pkt.payload = static_cast<std::int32_t>(kMss);
+  EXPECT_TRUE(q.Enqueue(pkt));
+  if (in_service) q.BeginService();
+  CheckpointWriter w;
+  q.SaveState(w);
+  std::uint64_t red_state[4];
+  Rng(0).SaveState(red_state);
+  for (std::uint64_t v : red_state) w.U64(v);
+  w.Bool(transmitting);
+  return w.TakeBlob();
+}
+
+void LoadPort(const std::vector<std::uint8_t>& blob) {
+  Simulator sim;
+  DiscardSink sink;
+  EgressPort port(sim, LinkConfig{}, sink);
+  CheckpointReader r(blob);
+  port.LoadState(r);
+}
+
+TEST(CheckpointReaderDeathTest, PortRejectsTransmitterQueueMismatch) {
+  const std::vector<std::uint8_t> idle_wire = PortBlobPrefix(true, false);
+  const std::string idle_offset = std::to_string(idle_wire.size());
+  EXPECT_DEATH(LoadPort(idle_wire),
+               "inconsistent state at offset " + idle_offset +
+                   ": egress port transmitting=0 but its queue has a packet "
+                   "in service");
+  const std::vector<std::uint8_t> empty_wire = PortBlobPrefix(false, true);
+  EXPECT_DEATH(LoadPort(empty_wire),
+               "egress port transmitting=1 but its queue has no packet in "
+               "service");
 }
 
 // The headline satellite: an impaired N=1400 churn run saved at 50

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "dctcpp/core/protocol.h"
 #include "dctcpp/net/queue.h"
@@ -116,9 +117,8 @@ TEST(RedQueueTest, MarkedCounterMatchesCeCodepointsInQueue) {
   // stats().marked is exactly the number of CE-stamped packets stored —
   // the marking mutates the queue's slot, not the caller's copy.
   std::uint64_t ce = 0;
-  while (!q.Empty()) {
-    if (q.Front().ecn == Ecn::kCe) ++ce;
-    q.PopFront();
+  while (const std::optional<Packet> pkt = q.Dequeue()) {
+    if (pkt->ecn == Ecn::kCe) ++ce;
   }
   EXPECT_GT(ce, 0u);
   EXPECT_EQ(q.stats().marked, ce);
@@ -146,8 +146,8 @@ TEST(RedQueueTest, EwmaAndRngAdvancePerArrivalRegardlessOfEct) {
     if (i % 3 == 0) pkt.ecn = Ecn::kNotEct;
     mixed.Enqueue(pkt);
     if (i % 2 == 1) {
-      ect.PopFront();
-      mixed.PopFront();
+      ect.Dequeue();
+      mixed.Dequeue();
     }
   }
   EXPECT_DOUBLE_EQ(ect.AverageQueue(), mixed.AverageQueue());

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -321,6 +322,46 @@ TEST(FlagsTest, NegativeIntAndDouble) {
   ASSERT_TRUE(flags.Parse(3, const_cast<char**>(argv)));
   EXPECT_EQ(flags.GetInt("n"), -5);
   EXPECT_DOUBLE_EQ(flags.GetDouble("d"), -1.25);
+}
+
+TEST(FlagsTest, OutOfRangeIntFails) {
+  for (const char* arg : {"--n=99999999999999999999",
+                          "--n=-99999999999999999999",
+                          "--n=9223372036854775808"}) {
+    SCOPED_TRACE(arg);
+    Flags flags;
+    flags.DefineInt("n", 7, "");
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
+    EXPECT_TRUE(flags.Failed());
+  }
+}
+
+TEST(FlagsTest, OutOfRangeDoubleFails) {
+  for (const char* arg : {"--d=1e999", "--d=-1e999", "--d=1e-999"}) {
+    SCOPED_TRACE(arg);
+    Flags flags;
+    flags.DefineDouble("d", 0.5, "");
+    const char* argv[] = {"prog", arg};
+    EXPECT_FALSE(flags.Parse(2, const_cast<char**>(argv)));
+    EXPECT_TRUE(flags.Failed());
+  }
+}
+
+TEST(FlagsTest, RangeLimitsParse) {
+  // The extremes themselves are in range; errno left over from an earlier
+  // out-of-range conversion must not reject them.
+  errno = ERANGE;
+  Flags flags;
+  flags.DefineInt("hi", 0, "");
+  flags.DefineInt("lo", 0, "");
+  flags.DefineDouble("d", 0, "");
+  const char* argv[] = {"prog", "--hi=9223372036854775807",
+                        "--lo=-9223372036854775808", "--d=1.5e308"};
+  ASSERT_TRUE(flags.Parse(4, const_cast<char**>(argv)));
+  EXPECT_EQ(flags.GetInt("hi"), INT64_MAX);
+  EXPECT_EQ(flags.GetInt("lo"), INT64_MIN);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("d"), 1.5e308);
 }
 
 TEST(FlagsTest, HelpReturnsFalseWithoutFailure) {
